@@ -19,6 +19,7 @@ let () =
       ("explore", Test_explore.suite);
       ("conformance", Test_conformance.suite);
       ("crystalline", Test_crystalline.suite);
+      ("single-slot", Test_single_slot.suite);
       ("schemes-unit", Test_schemes_unit.suite);
       ("linearize", Test_linearize.suite);
       ("metrics", Test_metrics.suite);

@@ -27,10 +27,6 @@ module Make (S : Smr.Smr_intf.SMR) = struct
   type guard = pl S.guard
 
   let create ?buckets:_ cfg = { smr = S.create cfg; root = A.make None }
-  let enter t = S.enter t.smr
-  let leave t g = S.leave t.smr g
-  let refresh t g = S.refresh t.smr g
-
   let size = function None -> 0 | Some n -> (S.data n).size
 
   (* Era-touching dereference: the child links are immutable, so the read
@@ -204,20 +200,14 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     update_root t g (fun retired snap -> remove_path t g retired key snap)
 
   include Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = S
 
-    let enter = enter
-    let leave = leave
+    type nonrec pl = pl
+    type nonrec t = t
+
+    let smr t = t.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let register ?tid t = S.register ?tid t.smr
-  let deregister t s = S.deregister t.smr s
-  let flush t = S.flush t.smr
-  let relieve t = S.relieve t.smr
-  let stats t = S.stats t.smr
-  let metrics t = S.metrics t.smr
 end

@@ -54,22 +54,36 @@ let same_opt a b =
   | Some x, Some y -> x == y
   | None, Some _ | Some _, None -> false
 
-(** Derive the self-bracketing operations from the [_with] ones. *)
+(** Derive a set's scheme plumbing from its [smr] accessor — the bracket
+    ([enter]/[leave]/[refresh]), registration, draining and accounting
+    all forward to the scheme instance the set owns — and the
+    self-bracketing operations from the [_with] ones. *)
 module Bracket (X : sig
-  type t
-  type guard
+  module S : Smr.Smr_intf.SMR
 
-  val enter : t -> guard
-  val leave : t -> guard -> unit
-  val insert_with : t -> guard -> int -> bool
-  val remove_with : t -> guard -> int -> bool
-  val contains_with : t -> guard -> int -> bool
+  type pl
+  type t
+
+  val smr : t -> pl S.t
+  val insert_with : t -> pl S.guard -> int -> bool
+  val remove_with : t -> pl S.guard -> int -> bool
+  val contains_with : t -> pl S.guard -> int -> bool
 end) =
 struct
+  let enter t = X.S.enter (X.smr t)
+  let leave t g = X.S.leave (X.smr t) g
+  let refresh t g = X.S.refresh (X.smr t) g
+  let register ?tid t = X.S.register ?tid (X.smr t)
+  let deregister t s = X.S.deregister (X.smr t) s
+  let flush t = X.S.flush (X.smr t)
+  let relieve t = X.S.relieve (X.smr t)
+  let stats t = X.S.stats (X.smr t)
+  let metrics t = X.S.metrics (X.smr t)
+
   let bracketed op t key =
-    let g = X.enter t in
+    let g = enter t in
     let r = op t g key in
-    X.leave t g;
+    leave t g;
     r
 
   let insert t key = bracketed X.insert_with t key

@@ -32,28 +32,19 @@ module Make (S : Smr.Smr_intf.SMR) = struct
   (* A bucket viewed as a list sharing the map's SMR state. *)
   let view t key = { L.smr = t.smr; head = t.buckets.(bucket t key) }
 
-  let enter t = S.enter t.smr
-  let leave t g = S.leave t.smr g
-  let refresh t g = S.refresh t.smr g
   let insert_with t g key = L.insert_with (view t key) g key
   let remove_with t g key = L.remove_with (view t key) g key
   let contains_with t g key = L.contains_with (view t key) g key
 
   include Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = S
 
-    let enter = enter
-    let leave = leave
+    type pl = L.pl
+    type nonrec t = t
+
+    let smr t = t.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let register ?tid t = S.register ?tid t.smr
-  let deregister t s = S.deregister t.smr s
-  let flush t = S.flush t.smr
-  let relieve t = S.relieve t.smr
-  let stats t = S.stats t.smr
-  let metrics t = S.metrics t.smr
 end

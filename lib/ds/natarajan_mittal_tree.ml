@@ -70,10 +70,6 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     in
     { smr; root }
 
-  let enter t = S.enter t.smr
-  let leave t g = S.leave t.smr g
-  let refresh t g = S.refresh t.smr g
-
   let child i key = if key < i.ikey then i.left else i.right
 
   let read_edge t g ~idx field =
@@ -253,20 +249,14 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     injection ()
 
   include Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = S
 
-    let enter = enter
-    let leave = leave
+    type nonrec pl = pl
+    type nonrec t = t
+
+    let smr t = t.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let register ?tid t = S.register ?tid t.smr
-  let deregister t s = S.deregister t.smr s
-  let flush t = S.flush t.smr
-  let relieve t = S.relieve t.smr
-  let stats t = S.stats t.smr
-  let metrics t = S.metrics t.smr
 end

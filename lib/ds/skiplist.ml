@@ -44,10 +44,6 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       rng_state = Stdlib.Atomic.make 0x9E3779B9;
     }
 
-  let enter t = S.enter t.smr
-  let leave t g = S.leave t.smr g
-  let refresh t g = S.refresh t.smr g
-
   let cell t tower level =
     match tower with Head -> t.head.(level) | Tower pl -> pl.next.(level)
 
@@ -270,20 +266,14 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     | _ -> false
 
   include Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = S
 
-    let enter = enter
-    let leave = leave
+    type nonrec pl = pl
+    type nonrec t = t
+
+    let smr t = t.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let register ?tid t = S.register ?tid t.smr
-  let deregister t s = S.deregister t.smr s
-  let flush t = S.flush t.smr
-  let relieve t = S.relieve t.smr
-  let stats t = S.stats t.smr
-  let metrics t = S.metrics t.smr
 end

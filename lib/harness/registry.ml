@@ -93,11 +93,6 @@ module Stack_set (Scheme : SMR) : CONC_SET = struct
   type guard = int Impl.guard
 
   let create ?buckets:_ cfg = Impl.create cfg
-  let register = Impl.register
-  let deregister = Impl.deregister
-  let enter = Impl.enter
-  let leave = Impl.leave
-  let refresh = Impl.refresh
 
   let insert_with t g k =
     Impl.push_with t g k;
@@ -109,20 +104,16 @@ module Stack_set (Scheme : SMR) : CONC_SET = struct
     match Impl.top_with t g with Some v -> v = k | None -> false
 
   include Smr_ds.Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = Scheme
 
-    let enter = enter
-    let leave = leave
+    type pl = int Impl.pl
+    type nonrec t = t
+
+    let smr (t : t) = t.Impl.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let flush = Impl.flush
-  let relieve = Impl.relieve
-  let stats = Impl.stats
-  let metrics = Impl.metrics
 end
 
 module Queue_set (Scheme : SMR) : CONC_SET = struct
@@ -136,11 +127,6 @@ module Queue_set (Scheme : SMR) : CONC_SET = struct
   type guard = int Impl.guard
 
   let create ?buckets:_ cfg = Impl.create cfg
-  let register = Impl.register
-  let deregister = Impl.deregister
-  let enter = Impl.enter
-  let leave = Impl.leave
-  let refresh = Impl.refresh
 
   let insert_with t g k =
     Impl.enqueue_with t g k;
@@ -152,20 +138,16 @@ module Queue_set (Scheme : SMR) : CONC_SET = struct
     match Impl.peek_with t g with Some v -> v = k | None -> false
 
   include Smr_ds.Ds_intf.Bracket (struct
-    type nonrec t = t
-    type nonrec guard = guard
+    module S = Scheme
 
-    let enter = enter
-    let leave = leave
+    type pl = int Impl.pl
+    type nonrec t = t
+
+    let smr (t : t) = t.Impl.smr
     let insert_with = insert_with
     let remove_with = remove_with
     let contains_with = contains_with
   end)
-
-  let flush = Impl.flush
-  let relieve = Impl.relieve
-  let stats = Impl.stats
-  let metrics = Impl.metrics
 end
 
 module Make (R : Smr_runtime.Runtime_intf.S) : S = struct
@@ -182,8 +164,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) : S = struct
   module Hyaline_s = Hyaline_core.Hyaline_s.Make (R)
   module Hyaline_s_llsc = Hyaline_core.Hyaline_s.Make_llsc (R)
   module Hyaline1s = Hyaline_core.Hyaline1s.Make (R)
-  module Crystalline_l = Crystalline.Crystalline_l.Make (R)
-  module Crystalline_w = Crystalline.Crystalline_w.Make (R)
+  module Crystalline_l = Hyaline_core.Crystalline_l.Make (R)
+  module Crystalline_w = Hyaline_core.Crystalline_w.Make (R)
 
   let baselines : (string * (module SMR)) list =
     [

@@ -19,7 +19,10 @@
     are mutable and pooled: a batch whose NRef accounting has fully
     completed returns to its owner's {!type:pool} and the next {!seal}
     reuses the record, its [nodes] array and its [nref] cell, making the
-    steady-state seal path allocation-free. *)
+    steady-state seal path allocation-free (returning a record costs one
+    cons cell). The pool is shared by every thread of an engine instance — any
+    thread may free a batch and any thread may seal one — so it is an
+    atomic stack (see {!type:pool}). *)
 
 let log2 =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -58,13 +61,55 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     pool : 'a pool;  (** where this record parks between seals *)
   }
 
-  (** Free-list of batch records whose NRef accounting has completed. The
-      nref of a pooled record is provably 0: every free site is an
+  (** Free-list of batch records whose NRef accounting has completed: a
+      Treiber stack on a plain [Stdlib.Atomic], so pool hand-offs stay
+      uncosted and never become simulator preemption points. Every push
+      installs a fresh cons cell and a popped cell is never reinstalled,
+      so a pop's CAS cannot succeed on a recycled head (no ABA). The nref
+      of a pooled record is provably 0: every free site is an
       [fetch_and_add] whose result crossing zero triggered the free, so no
       reset (and no costed store) is needed on reuse. *)
-  and 'a pool = { mutable free : 'a batch list }
+  and 'a pool = 'a batch list Stdlib.Atomic.t
 
-  let make_pool () = { free = [] }
+  let make_pool () : 'a pool = Stdlib.Atomic.make []
+
+  (* Pop a pooled record, or build a fresh one on a miss. Returns the
+     record itself, never an option, so a pool hit allocates nothing. *)
+  let rec take pool =
+    match Stdlib.Atomic.get pool with
+    | [] ->
+        {
+          nref = R.Atomic.make 0;
+          nodes = [||];
+          len = 0;
+          min_birth = 0;
+          adjs = 0;
+          pool;
+        }
+    | b :: rest as seen ->
+        if Stdlib.Atomic.compare_and_set pool seen rest then b else take pool
+
+  let rec give pool b =
+    let seen = Stdlib.Atomic.get pool in
+    if not (Stdlib.Atomic.compare_and_set pool seen (b :: seen)) then
+      give pool b
+
+  (** A thread's reusable retirement buffer: the used prefix [0, len) of
+      [buf], oldest first ({!seal} restores the newest-first batch
+      layout). Grows geometrically and is never shrunk. *)
+  type 'a pending = { mutable buf : 'a node array; mutable len : int }
+
+  let make_pending () = { buf = [||]; len = 0 }
+
+  let push_pending p n =
+    let cap = Array.length p.buf in
+    if p.len = cap then begin
+      let nbuf = Array.make (max 8 (2 * cap)) n in
+      Array.blit p.buf 0 nbuf 0 p.len;
+      p.buf <- nbuf
+    end;
+    Array.unsafe_set p.buf p.len n;
+    p.len <- p.len + 1
 
   (* The empty-link sentinel is the immediate 0: never dereferenced (every
      traversal guards [is_nil] first; [nil] never carries a payload, enters
@@ -111,21 +156,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   let seal ~counters ~pool ~k ~adjs buf len =
     assert (len > k);
     Smr.Lifecycle.tally_retired counters len;
-    let b =
-      match pool.free with
-      | b :: rest ->
-          pool.free <- rest;
-          b
-      | [] ->
-          {
-            nref = R.Atomic.make 0;
-            nodes = [||];
-            len = 0;
-            min_birth = 0;
-            adjs = 0;
-            pool;
-          }
-    in
+    let b = take pool in
     if Array.length b.nodes < len then b.nodes <- Array.make len buf.(0);
     let nodes = b.nodes in
     let mb = ref max_int in
@@ -151,7 +182,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       Array.unsafe_set nodes i (nil ())
     done;
     b.len <- 0;
-    b.pool.free <- b :: b.pool.free
+    give b.pool b
 
   (* adjust (Fig. 3 lines 41-43): add [v] to the batch's NRef; the counter
      crossing zero means the batch is fully adjusted and unreferenced. *)

@@ -37,11 +37,6 @@ struct
     ack : int R.Atomic.t;  (* stalled-slot detector (Fig. 5) *)
   }
 
-  (* Reusable retirement buffer: the used prefix [0, len) holds this
-     thread's batch under construction in retirement order (oldest
-     first — [seal] restores the newest-first batch layout). *)
-  type 'a pending = { mutable buf : 'a B.node array; mutable len : int }
-
   type 'a t = {
     cfg : Smr.Smr_intf.config;
     counters : Smr.Lifecycle.counters;
@@ -53,7 +48,7 @@ struct
     dir : 'a slot Dir.t;
     era : int R.Atomic.t;  (* AllocEra *)
     alloc_clock : int Stdlib.Atomic.t;
-    pending : 'a pending array;  (* per-thread batch under construction *)
+    pending : 'a B.pending array;  (* per-thread batch under construction *)
     pool : 'a B.pool;  (* recycled batch records *)
     mutable on_pressure : unit -> unit;
         (* [relieve_pressure t], built once at create so the allocation
@@ -86,18 +81,6 @@ struct
   let data (n : 'a node) =
     Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"data" n.state;
     n.payload
-
-  (* Append to the thread's retirement buffer; grows by doubling, so the
-     steady state (buffer at the sealing threshold) never reallocates. *)
-  let push_pending p n =
-    let cap = Array.length p.buf in
-    if p.len = cap then begin
-      let nbuf = Array.make (max 8 (2 * cap)) n in
-      Array.blit p.buf 0 nbuf 0 p.len;
-      p.buf <- nbuf
-    end;
-    Array.unsafe_set p.buf p.len n;
-    p.len <- p.len + 1
 
   (* Fig. 5 enter: probe for a slot not poisoned by stalled threads; when
      all k slots are saturated either grow the directory (§4.3) or fall
@@ -280,7 +263,7 @@ struct
     if !skipped_any then
       B.adjust ~counters:t.counters b.nodes.(0) !empty
 
-  let seal_pending t p ~k =
+  let seal_pending t (p : 'a B.pending) ~k =
     Smr.Metrics.Counter.incr t.m_sealed;
     Smr.Metrics.Counter.add t.m_sealed_nodes p.len;
     (* [B.seal] copies the buffer out before the reset below, and neither
@@ -314,7 +297,7 @@ struct
         dir = Dir.create ~kmin:(next_pow2 cfg.slots) ~make_slot;
         era = R.Atomic.make 0;
         alloc_clock = Stdlib.Atomic.make 0;
-        pending = Array.init cfg.max_threads (fun _ -> { buf = [||]; len = 0 });
+        pending = Array.init cfg.max_threads (fun _ -> B.make_pending ());
         pool = B.make_pool ();
         on_pressure = ignore;
         m_sealed = Smr.Metrics.Counter.make "batches_sealed";
@@ -351,7 +334,7 @@ struct
     Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name n.B.state
       t.counters;
     let p = t.pending.(g.sid) in
-    push_pending p n;
+    B.push_pending p n;
     let k = Dir.k t.dir in
     if p.len >= max t.cfg.batch_size (k + 1) then seal_pending t p ~k
 
@@ -381,7 +364,7 @@ struct
           let d = alloc t sample in
           Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name
             d.B.state t.counters;
-          push_pending p d
+          B.push_pending p d
         done;
         seal_pending t p ~k
       end

@@ -1,13 +1,42 @@
-(** The Hyaline-1 engine (Fig. 4): one dedicated slot per thread, so [HRef]
-    degenerates to a single "active" bit merged with the pointer — a plain
-    single-width CAS word. [enter] and [leave] become wait-free (a store and
-    a swap), predecessors are never adjusted, and a batch's NRef is simply
-    the number of slots it was inserted into.
+(** The single-slot engine: Hyaline-1 (Fig. 4) and every scheme that keeps
+    its retire side. One dedicated slot per thread, so [HRef] degenerates
+    to a single "active" bit merged with the pointer — a plain
+    single-width CAS word. [enter] and [leave] become wait-free (a store
+    and a swap), predecessors are never adjusted, and a batch's NRef is
+    simply the number of slots it was inserted into.
 
-    The robust flavour (Hyaline-1S) adds birth eras exactly as in Fig. 5,
-    with [touch] reduced to an ordinary write thanks to the 1:1
-    thread-to-slot mapping. Fully robust without resizing, since a stalled
-    thread only ever poisons its own slot.
+    The retire/seal/traverse side is shared by all four instances; only
+    the reader protocol differs, selected by the flavour's {!reader}:
+
+    - [Plain] — Hyaline-1: no eras, [protect] is the bare read.
+    - [Eras] — Hyaline-1S (§4.2, Fig. 5) and Crystalline-L
+      (arXiv:2108.02763): birth eras on allocation, per-slot access eras,
+      and the lock-free validation loop, with [touch] an ordinary write
+      thanks to the 1:1 thread-to-slot mapping. A sealed batch skips a
+      slot whose access era predates the batch's minimum birth era, so a
+      stalled thread only ever poisons its own slot: fully robust
+      without resizing. The loop can starve — an adversarial allocator
+      can keep a reader retrying forever — but memory stays bounded.
+    - [Handshake] — Crystalline-W: the era loop capped at [fast_tries]
+      retries, then a wait-free handshake. The reader publishes a helper
+      thunk in its slot's request cell and keeps re-attempting. Every
+      thread about to advance the era first runs the published thunks
+      ([help_pending], called from [alloc] just before the increment). A
+      helper raises the seeker's access era to the current era {e before}
+      reading, re-validates that the era did not move across the read,
+      and deposits the value once (a CAS into the seeker's result cell);
+      the reader adopts the first deposit it finds. The reader's steps
+      are then bounded by the number of in-flight era advances (at most
+      one per thread), not by the adversary's total allocation count. A
+      killed reader's request is completed exactly once; after the
+      deposit its access era is frozen, so helpers touch it no further
+      and the skip rule bounds its memory. Because [access] now has two
+      writers, every write to it is a monotonic CAS-max.
+
+    Wait-freedom is achieved entirely on the reader side, so the
+    memory-bound argument of the robust flavours carries over unchanged.
+    Only [Handshake] creates request cells and reports the handshake
+    counters; the other flavours charge and allocate nothing for it.
 
     Hot-path layout (DESIGN.md §15): the head word carries a plain node
     with {!Batch.Make.nil} as the empty pointer, so an insert builds one
@@ -16,10 +45,40 @@
     the CAS version tag — while the [idle] word, which is never a CAS
     expectation (retire skips inactive slots), is shared per instance. *)
 
-module Make (R : Smr_runtime.Runtime_intf.S) (F : Hyaline_intf.FLAVOR) =
-struct
+(** The reader protocol of a single-slot scheme. *)
+type reader =
+  | Plain
+  | Eras
+  | Handshake of {
+      fast_tries : int;
+          (** era-loop retries before the handshake; 0 forces the slow
+              path on the first failed validation (used by tests to pin
+              the handshake) *)
+      validate_help : bool;
+          (** whether a helper follows the sound attempt discipline —
+              raise the seeker's reservation {e before} reading, then
+              re-validate that the era did not move across the read
+              before depositing. [false] makes the helper deposit the
+              seeker's {e original} failed read instead: that value was
+              read while the seeker's access era lagged the allocation
+              era, so the batch holding it can seal past the seeker's
+              reservation, skip its slot, and be reclaimed under the
+              deposit. {e Deliberately unsound}; the broken flavour
+              exists solely so the test suite can show the explorer
+              catching the resulting use-after-free. *)
+    }
+
+module type FLAVOR = sig
+  val scheme_name : string
+  val reader : reader
+end
+
+module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
   let scheme_name = F.scheme_name
-  let robust = F.robust
+  let robust = match F.reader with Plain -> false | Eras | Handshake _ -> true
+
+  let handshake =
+    match F.reader with Handshake _ -> true | Plain | Eras -> false
 
   module R = R
   module B = Batch.Make (R)
@@ -29,11 +88,16 @@ struct
   (* The single-word head: an "active" bit squeezed next to the pointer. *)
   type 'a word = { active : bool; hptr : 'a B.node }
 
-  type 'a slot = { head : 'a word R.Atomic.t; access : int R.Atomic.t }
+  (* The per-slot request cell of the handshake. The thunk is monomorphic
+     (it closes over the seeker's typed result cell), so the cell stays
+     ['b]-free. *)
+  type request = Idle | Seeking of (unit -> unit)
 
-  (* Reusable retirement buffer (oldest first; [B.seal] restores the
-     newest-first batch layout). *)
-  type 'a pending = { mutable buf : 'a B.node array; mutable len : int }
+  type 'a slot = {
+    head : 'a word R.Atomic.t;
+    access : int R.Atomic.t;
+    request : request R.Atomic.t option;  (* [Some] iff [handshake] *)
+  }
 
   type 'a t = {
     cfg : Smr.Smr_intf.config;
@@ -47,7 +111,7 @@ struct
     idle : 'a word;  (* the shared inactive word, per instance *)
     era : int R.Atomic.t;
     alloc_clock : int Stdlib.Atomic.t;
-    pending : 'a pending array;
+    pending : 'a B.pending array;
     pool : 'a B.pool;  (* recycled batch records *)
     mutable on_pressure : unit -> unit;
     (* Metrics (plain atomics, invisible to the cost model). *)
@@ -55,6 +119,10 @@ struct
     m_sealed_nodes : Smr.Metrics.Counter.t;
     m_trims : Smr.Metrics.Counter.t;
     m_insert_retries : Smr.Metrics.Counter.t;
+    m_fast_retries : Smr.Metrics.Counter.t;
+    m_slow_paths : Smr.Metrics.Counter.t;
+    m_help_deposits : Smr.Metrics.Counter.t;
+    m_adoptions : Smr.Metrics.Counter.t;
   }
 
   type 'a guard = { sid : int; handle : 'a B.node }
@@ -64,16 +132,6 @@ struct
   let data (n : 'a node) =
     Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"data" n.state;
     n.payload
-
-  let push_pending p n =
-    let cap = Array.length p.buf in
-    if p.len = cap then begin
-      let nbuf = Array.make (max 8 (2 * cap)) n in
-      Array.blit p.buf 0 nbuf 0 p.len;
-      p.buf <- nbuf
-    end;
-    Array.unsafe_set p.buf p.len n;
-    p.len <- p.len + 1
 
   (* The paper's transparency claim (§2.4), machine-checked by the churn
      experiment: joining and leaving are free — no reservation cells to
@@ -88,10 +146,17 @@ struct
 
   (* Fig. 4 enter: a wait-free store. The slot necessarily reads the idle
      word here — the previous leave swapped it out (and a recycled slot's
-     last occupant left the same way). *)
+     last occupant left the same way). A handshake slot first clears any
+     request a killed previous occupant left armed, so stale thunks
+     cannot outlive the slot's recycling. *)
   let enter t =
     let sid = Smr.Slot_registry.ensure t.reg ~tid:(R.self ()) in
-    R.Atomic.set t.slots.(sid).head { active = true; hptr = B.nil () };
+    let slot = t.slots.(sid) in
+    (match slot.request with
+    | Some r -> (
+        match R.Atomic.get r with Idle -> () | Seeking _ -> R.Atomic.set r Idle)
+    | None -> ());
+    R.Atomic.set slot.head { active = true; hptr = B.nil () };
     { sid; handle = B.nil () }
 
   (* Decrement every batch in the detached list once (this thread owned the
@@ -133,28 +198,98 @@ struct
     g
 
   (* Fig. 5 deref; touch is an ordinary write (1:1 thread-to-slot). *)
-  let rec protect_attempt t slot read access =
+  let rec era_attempt t slot read access =
     let v = read () in
     let alloc = R.Atomic.get t.era in
     if access >= alloc then v
     else begin
       R.Atomic.set slot.access alloc;
-      protect_attempt t slot read alloc
+      era_attempt t slot read alloc
+    end
+
+  (* The handshake's [touch]: [access] has two writers (the owner and any
+     helper), so a reservation, once raised, is never lowered under a
+     value some reader relied on. *)
+  let rec touch cell v =
+    let cur = R.Atomic.get cell in
+    if cur < v && not (R.Atomic.compare_and_set cell cur v) then touch cell v
+
+  (* The handshake's slow path. The owner and helpers share one attempt
+     shape: raise the reservation to the current era, read, then accept
+     the value only if the era did not move across the read — the
+     invariant a successful era-loop iteration establishes, so deposited
+     values are protected by the same argument. [stale] is the value the
+     owner's last fast attempt read before its validation failed; only
+     the unsound test flavour touches it. *)
+  let slow t slot ~validate_help ~read ~stale =
+    Smr.Metrics.Counter.incr t.m_slow_paths;
+    let request = Option.get slot.request in
+    let result = R.Atomic.make None in
+    let run_help () =
+      (* At most one deposit per request: once completed, later era
+         advances leave the slot's access era alone, preserving the
+         killed-reader memory bound. *)
+      if Option.is_none (R.Atomic.get result) then
+        if validate_help then begin
+          let e_h = R.Atomic.get t.era in
+          touch slot.access e_h;
+          let v = read () in
+          if R.Atomic.get t.era = e_h then
+            if R.Atomic.compare_and_set result None (Some v) then
+              Smr.Metrics.Counter.incr t.m_help_deposits
+        end
+        else if R.Atomic.compare_and_set result None (Some stale) then
+          Smr.Metrics.Counter.incr t.m_help_deposits
+    in
+    R.Atomic.set request (Seeking run_help);
+    let rec arm () =
+      let e = R.Atomic.get t.era in
+      touch slot.access e;
+      let v = read () in
+      if R.Atomic.get t.era = e then begin
+        R.Atomic.set request Idle;
+        v
+      end
+      else
+        match R.Atomic.get result with
+        | Some v ->
+            R.Atomic.set request Idle;
+            Smr.Metrics.Counter.incr t.m_adoptions;
+            v
+        | None -> arm ()
+    in
+    arm ()
+
+  (* The handshake's capped era loop; on exhaustion the last (failed)
+     read goes to the slow path as [stale]. *)
+  let rec fast_attempt t slot read ~validate_help tries access =
+    let v = read () in
+    let alloc = R.Atomic.get t.era in
+    if access >= alloc then v
+    else if tries <= 0 then slow t slot ~validate_help ~read ~stale:v
+    else begin
+      touch slot.access alloc;
+      Smr.Metrics.Counter.incr t.m_fast_retries;
+      fast_attempt t slot read ~validate_help (tries - 1) alloc
     end
 
   let protect t g ~idx:_ ~read ~target:_ =
-    if not F.robust then read ()
-    else
-      let slot = t.slots.(g.sid) in
-      protect_attempt t slot read (R.Atomic.get slot.access)
+    match F.reader with
+    | Plain -> read ()
+    | Eras ->
+        let slot = t.slots.(g.sid) in
+        era_attempt t slot read (R.Atomic.get slot.access)
+    | Handshake { fast_tries; validate_help } ->
+        let slot = t.slots.(g.sid) in
+        fast_attempt t slot read ~validate_help fast_tries
+          (R.Atomic.get slot.access)
 
   (* Fig. 4 retire: count the slots the batch lands in, then adjust NRef by
      that count (no Adjs constants, no predecessor adjustment). *)
   let rec insert_attempt t (b : 'a B.batch) slot cursor =
     let seen = R.Atomic.get slot.head in
     let skip =
-      (not seen.active)
-      || (F.robust && R.Atomic.get slot.access < b.B.min_birth)
+      (not seen.active) || (robust && R.Atomic.get slot.access < b.B.min_birth)
     in
     if skip then false
     else begin
@@ -185,7 +320,7 @@ struct
 
   let effective_batch t = max t.cfg.batch_size (Array.length t.slots + 1)
 
-  let seal_pending t (p : 'a pending) =
+  let seal_pending t (p : 'a B.pending) =
     Smr.Metrics.Counter.incr t.m_sealed;
     Smr.Metrics.Counter.add t.m_sealed_nodes p.len;
     let b =
@@ -212,21 +347,42 @@ struct
         reg = Smr.Slot_registry.create ~capacity:cfg.max_threads;
         slots =
           Array.init cfg.max_threads (fun _ ->
-              { head = R.Atomic.make idle; access = R.Atomic.make 0 });
+              {
+                head = R.Atomic.make idle;
+                access = R.Atomic.make 0;
+                request =
+                  (if handshake then Some (R.Atomic.make Idle) else None);
+              });
         idle;
         era = R.Atomic.make 0;
         alloc_clock = Stdlib.Atomic.make 0;
-        pending = Array.init cfg.max_threads (fun _ -> { buf = [||]; len = 0 });
+        pending = Array.init cfg.max_threads (fun _ -> B.make_pending ());
         pool = B.make_pool ();
         on_pressure = ignore;
         m_sealed = Smr.Metrics.Counter.make "batches_sealed";
         m_sealed_nodes = Smr.Metrics.Counter.make "batch_nodes_sealed";
         m_trims = Smr.Metrics.Counter.make "trims";
         m_insert_retries = Smr.Metrics.Counter.make "insert_cas_retries";
+        m_fast_retries = Smr.Metrics.Counter.make "protect_fast_retries";
+        m_slow_paths = Smr.Metrics.Counter.make "protect_slow_paths";
+        m_help_deposits = Smr.Metrics.Counter.make "help_deposits";
+        m_adoptions = Smr.Metrics.Counter.make "help_adoptions";
       }
     in
     t.on_pressure <- relieve_pressure t;
     t
+
+  (* Run every published request before advancing the era: completing the
+     seekers is part of the advance, which is what makes the advance
+     harmless to them. *)
+  let help_pending t =
+    Smr.Slot_registry.iter_live t.reg (fun i ->
+        match t.slots.(i).request with
+        | Some r -> (
+            match R.Atomic.get r with
+            | Idle -> ()
+            | Seeking run_help -> run_help ())
+        | None -> ())
 
   let alloc ?bytes t payload =
     let mem_bytes =
@@ -235,9 +391,12 @@ struct
     in
     R.alloc_point ~bytes:mem_bytes;
     let birth =
-      if F.robust then begin
+      if robust then begin
         let c = Stdlib.Atomic.fetch_and_add t.alloc_clock 1 in
-        if c mod t.cfg.era_freq = t.cfg.era_freq - 1 then R.Atomic.incr t.era;
+        if c mod t.cfg.era_freq = t.cfg.era_freq - 1 then begin
+          if handshake then help_pending t;
+          R.Atomic.incr t.era
+        end;
         R.Atomic.get t.era
       end
       else 0
@@ -249,7 +408,7 @@ struct
     Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name n.B.state
       t.counters;
     let p = t.pending.(g.sid) in
-    push_pending p n;
+    B.push_pending p n;
     if p.len >= effective_batch t then seal_pending t p
 
   (* Mid-run reclaimer entry point: seal every pending batch that already
@@ -275,7 +434,7 @@ struct
           let d = alloc t sample in
           Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name
             d.B.state t.counters;
-          push_pending p d
+          B.push_pending p d
         done;
         seal_pending t p
       end
@@ -287,10 +446,16 @@ struct
   let stats t = Smr.Lifecycle.stats t.counters
 
   let metrics t =
+    let handshake_series =
+      if handshake then
+        [ t.m_fast_retries; t.m_slow_paths; t.m_help_deposits; t.m_adoptions ]
+      else []
+    in
     Smr.Lifecycle.snapshot ~scheme:F.scheme_name
       ~series:
         (Smr.Metrics.series_of
-           [ t.m_sealed; t.m_sealed_nodes; t.m_trims; t.m_insert_retries ]
+           ([ t.m_sealed; t.m_sealed_nodes; t.m_trims; t.m_insert_retries ]
+           @ handshake_series)
         @ Smr.Slot_registry.series t.reg)
       t.counters
 end

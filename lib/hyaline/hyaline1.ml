@@ -6,5 +6,5 @@ module Make (R : Smr_runtime.Runtime_intf.S) =
     (R)
     (struct
       let scheme_name = "Hyaline-1"
-      let robust = false
+      let reader = Engine_single.Plain
     end)

@@ -7,5 +7,5 @@ module Make (R : Smr_runtime.Runtime_intf.S) =
     (R)
     (struct
       let scheme_name = "Hyaline-1S"
-      let robust = true
+      let reader = Engine_single.Eras
     end)

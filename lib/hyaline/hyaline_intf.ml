@@ -1,6 +1,6 @@
-(** Extended interface implemented by the four Hyaline variants: the common
-    {!Smr.Smr_intf.SMR} contract plus the operations specific to the
-    paper's algorithm. *)
+(** Extended interface implemented by the four Hyaline variants and the
+    two Crystalline ones: the common {!Smr.Smr_intf.SMR} contract plus the
+    operations specific to the paper's algorithm. *)
 
 module type S = sig
   include Smr.Smr_intf.SMR
@@ -17,8 +17,10 @@ module type S = sig
       (§4.3), constant otherwise. *)
 end
 
-(** Compile-time flavour selection shared by the engines: the robust ("-S")
-    variants add birth eras, per-slot access eras and acks (§4.2). *)
+(** Compile-time flavour selection of the multi-slot engine: the robust
+    ("-S") variants add birth eras, per-slot access eras and acks (§4.2).
+    The single-slot engine names its reader protocol instead
+    ({!Engine_single.reader}). *)
 module type FLAVOR = sig
   val scheme_name : string
   val robust : bool

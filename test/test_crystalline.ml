@@ -12,36 +12,38 @@ module Verify = Smr_harness.Verify
 module Trace_file = Smr_harness.Trace_file
 open Test_support
 
-module L = Crystalline.Crystalline_l.Make (Sim)
-module W = Crystalline.Crystalline_w.Make (Sim)
+module L = Hyaline_core.Crystalline_l.Make (Sim)
+module W = Hyaline_core.Crystalline_w.Make (Sim)
 
 (* The production wait-free flavour with its fast path disabled: every
    contended protect goes straight to the publish/help/adopt handshake,
    so the kill-injection test exercises peer adoption on every era
    advance rather than once in a while. *)
 module W_eager =
-  Crystalline.Engine.Make
+  Hyaline_core.Engine_single.Make
     (Sim)
     (struct
       let scheme_name = "Crystalline-W/eager"
-      let wait_free = true
-      let fast_tries = 0
-      let validate_help = true
+
+      let reader =
+        Hyaline_core.Engine_single.Handshake
+          { fast_tries = 0; validate_help = true }
     end)
 
-(* The unsound negative control (see Crystalline_intf.FLAVOR): helpers
+(* The unsound negative control (see [Engine_single.reader]): helpers
    complete a parked request with the seeker's own unvalidated read
    instead of redoing it under a raised reservation, so the batch
    holding that value can seal past the seeker's stale access era and
    reclaim it — a use-after-free the explorer must find. *)
 module W_broken =
-  Crystalline.Engine.Make
+  Hyaline_core.Engine_single.Make
     (Sim)
     (struct
       let scheme_name = "Crystalline-W/broken"
-      let wait_free = true
-      let fast_tries = 0
-      let validate_help = false
+
+      let reader =
+        Hyaline_core.Engine_single.Handshake
+          { fast_tries = 0; validate_help = false }
     end)
 
 let contains msg sub =
@@ -54,11 +56,12 @@ let contains msg sub =
 (* -- lifecycle round trips ------------------------------------------------ *)
 
 (* Both flavours: allocate/retire/flush on one thread reclaims
-   everything, and the metrics snapshot carries both the Hyaline batch
-   series and the handshake counters. *)
+   everything, and the metrics snapshot carries the Hyaline batch
+   series; the handshake counters are reported by the wait-free flavour
+   alone, since only it runs the handshake. *)
 let test_lifecycle () =
   List.iter
-    (fun (name, (module S : SMR)) ->
+    (fun (name, handshake, (module S : SMR)) ->
       run_solo (fun () ->
           let t = S.create (test_cfg ~threads:2) in
           let g = S.enter t in
@@ -79,8 +82,8 @@ let test_lifecycle () =
           List.iter
             (fun k ->
               Alcotest.(check bool)
-                (name ^ ": handshake series " ^ k ^ " present")
-                true
+                (name ^ ": handshake series " ^ k ^ " reported")
+                handshake
                 (Option.is_some (series k)))
             [
               "protect_fast_retries";
@@ -88,7 +91,10 @@ let test_lifecycle () =
               "help_deposits";
               "help_adoptions";
             ]))
-    [ ("crystalline-l", (module L : SMR)); ("crystalline-w", (module W)) ]
+    [
+      ("crystalline-l", false, (module L : SMR));
+      ("crystalline-w", true, (module W));
+    ]
 
 (* -- stale-pointer attribution via allocator generations ------------------ *)
 

@@ -13,6 +13,8 @@ module N_hyaline_llsc = Hyaline_core.Hyaline.Make_llsc (Native)
 module N_hyaline1 = Hyaline_core.Hyaline1.Make (Native)
 module N_hyaline_s = Hyaline_core.Hyaline_s.Make (Native)
 module N_hyaline1s = Hyaline_core.Hyaline1s.Make (Native)
+module N_crystalline_l = Hyaline_core.Crystalline_l.Make (Native)
+module N_crystalline_w = Hyaline_core.Crystalline_w.Make (Native)
 module N_ebr = Smr.Ebr.Make (Native)
 module N_hp = Smr.Hp.Make (Native)
 module N_ibr = Smr.Ibr.Make (Native)
@@ -86,8 +88,49 @@ module Make (S : SMR) = struct
     ]
 end
 
+(* Batch-record pool: every domain that frees a batch pushes its record
+   back, and every seal pops one, so two domains sealing and freeing
+   against one pool must never be handed the same record. Each sealed
+   record is claimed by a CAS on its (pooled, hence zero) [nref]; a
+   record already claimed is a double hand-out. *)
+module B = Hyaline_core.Batch.Make (Native)
+
+let test_pool_two_domains () =
+  let pool = B.make_pool () in
+  let counters = Smr.Lifecycle.make_counters () in
+  let cycles = 100_000 in
+  let doubles =
+    Runner.run_collect ~threads:2 (fun _ ->
+        let buf = Array.make 4 (B.nil ()) in
+        let doubles = ref 0 in
+        for _ = 1 to cycles do
+          for i = 0 to 3 do
+            let n =
+              B.make_node ~bytes:0 ~relieve:ignore ~scheme:B.scheme ~counters
+                ~birth:0 i
+            in
+            Smr.Lifecycle.on_retire ~tally:false ~scheme:B.scheme
+              n.B.state counters;
+            buf.(i) <- n
+          done;
+          let b = B.seal ~counters ~pool ~k:1 ~adjs:0 buf 4 in
+          if Native.Atomic.compare_and_set b.B.nref 0 1 then begin
+            Native.Atomic.set b.B.nref 0;
+            B.free_batch ~counters b
+          end
+          else incr doubles
+        done;
+        !doubles)
+  in
+  Alcotest.(check int) "no batch record handed out twice" 0
+    (Array.fold_left ( + ) 0 doubles);
+  Alcotest.(check int)
+    "every sealed node freed exactly once" (2 * cycles * 4)
+    (Smr.Lifecycle.stats counters).Smr.Smr_intf.freed
+
 let suite =
-  List.concat_map
+  Alcotest.test_case "batch-pool-2-domains" `Quick test_pool_two_domains
+  :: List.concat_map
     (fun (name, (module S : SMR)) ->
       let module T = Make (S) in
       T.suite name)
@@ -97,6 +140,8 @@ let suite =
       ("hyaline-1", (module N_hyaline1));
       ("hyaline-s", (module N_hyaline_s));
       ("hyaline-1s", (module N_hyaline1s));
+      ("crystalline-l", (module N_crystalline_l));
+      ("crystalline-w", (module N_crystalline_w));
       ("epoch", (module N_ebr));
       ("hp", (module N_hp));
       ("ibr", (module N_ibr));

@@ -13,6 +13,30 @@ dune build
 echo "==> dune runtest"
 dune runtest
 
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
+# Native repetition: the native suite is where real preemption and the
+# hardware memory model meet the schemes, so one clean pass proves
+# little. Run it 10 times, each under a 60 s watchdog (a clean run takes
+# a few seconds); any failure or hang fails the stage, naming the run
+# and its last Alcotest line.
+echo "==> native suite x10"
+run=1
+while [ "$run" -le 10 ]; do
+  log="$tmpdir/native.$run.log"
+  if timeout 60 _build/default/test/test_main.exe test native >"$log" 2>&1
+  then :; else
+    rc=$?
+    last=$(grep -E '\[(OK|FAIL|ERROR)\]|[.][.][.]' "$log" | tail -n 1)
+    if [ "$rc" -eq 124 ]; then why="timed out after 60 s"; else why="exit $rc"; fi
+    echo "native suite: run $run of 10 $why; last test line: ${last:-none}"
+    tail -n 30 "$log"
+    exit 1
+  fi
+  run=$((run + 1))
+done
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "==> dune build @fmt"
   dune build @fmt
@@ -25,8 +49,6 @@ fi
 # scheme in the registry is covered — so a zero exit here certifies the
 # whole emit -> parse -> validate loop.
 echo "==> bench smoke run"
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
 dune exec bin/figures.exe -- bench -n check -t 2 -o "$tmpdir" --no-cache
 test -s "$tmpdir/BENCH_check.json"
 

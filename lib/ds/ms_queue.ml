@@ -55,23 +55,29 @@ module Make (S : Smr.Smr_intf.SMR) = struct
           ~read:(fun () -> A.get hpl.next)
           ~target:(fun o -> o)
       in
-      match next with
-      | None -> None
-      | Some n ->
-          let tail = A.get t.tail in
-          if tail == head then ignore (A.compare_and_set t.tail tail n);
-          let v = (S.data n).value in
-          if A.compare_and_set t.head head n then begin
-            S.retire t.smr g head;
-            v
-          end
-          else attempt ()
+      (* A [next] link never changes once set, so the protect above cannot
+         tell whether [head] was dequeued meanwhile — and with it [next],
+         possibly already reclaimed. [head] still being the queue's head
+         proves [next] was reachable when its reservation went up. *)
+      if A.get t.head != head then attempt ()
+      else
+        match next with
+        | None -> None
+        | Some n ->
+            let tail = A.get t.tail in
+            if tail == head then ignore (A.compare_and_set t.tail tail n);
+            let v = (S.data n).value in
+            if A.compare_and_set t.head head n then begin
+              S.retire t.smr g head;
+              v
+            end
+            else attempt ()
     in
     attempt ()
 
   (* Protected read of the front value (the dummy's successor) without
      dequeuing; [None] on an empty queue. *)
-  let peek_with t g =
+  let rec peek_with t g =
     let head =
       S.protect t.smr g ~idx:0
         ~read:(fun () -> A.get t.head)
@@ -83,7 +89,9 @@ module Make (S : Smr.Smr_intf.SMR) = struct
         ~read:(fun () -> A.get hpl.next)
         ~target:(fun o -> o)
     in
-    match next with None -> None | Some n -> (S.data n).value
+    (* The same head re-check as [dequeue_with]. *)
+    if A.get t.head != head then peek_with t g
+    else match next with None -> None | Some n -> (S.data n).value
 
   let enqueue t v =
     let g = enter t in

@@ -90,8 +90,58 @@ module Make (S : SMR) = struct
     ]
 end
 
+(* A dequeuer that protected the old head, then stalled while others
+   dequeued past it: the head's [next] link never changes once set, so
+   re-reading it cannot tell that the successor was dequeued, retired and
+   freed meanwhile. Only re-checking that the head is still the queue's
+   head makes the successor's hazard sound. Without that check the
+   explorer finds the use-after-free at most of these stall points (the
+   race the native matrix hit as an intermittent HP/queue failure); with
+   it, no execution may dereference a freed successor. *)
+module Hp_queue = Smr_ds.Ms_queue.Make (Hp)
+
+let test_hp_dequeue_validates_head () =
+  let program () =
+    let q =
+      Hp_queue.create { (test_cfg ~threads:3) with Smr.Smr_intf.batch_size = 1 }
+    in
+    ( [
+        (fun () -> ignore (Hp_queue.dequeue q));
+        (* Three dequeues: the third one's scan is the first that runs
+           after this thread dropped its own hazard on the successor. *)
+        (fun () ->
+          List.iter (Hp_queue.enqueue q) [ 1; 2; 3; 4 ];
+          for _ = 1 to 3 do
+            ignore (Hp_queue.dequeue q)
+          done);
+        (* Keeps scheduling decisions coming while the dequeuer is parked,
+           so the fault plan's resume point is always reached. *)
+        (fun () ->
+          for _ = 1 to 400 do
+            Sim.yield ()
+          done);
+      ],
+      fun () -> true )
+  in
+  for at = 1 to 30 do
+    match
+      Smr_runtime.Explore.explore
+        ~mode:(Smr_runtime.Explore.Random_walk { walks = 10 })
+        ~seed:at
+        ~faults:
+          [ Smr_runtime.Explore.stall_at ~victim:0 ~at ~resume_at:(at + 300) () ]
+        ~max_steps:max_int program
+    with
+    | Smr_runtime.Explore.Violation { message; _ } ->
+        Alcotest.fail (Printf.sprintf "dequeuer parked at %d: %s" at message)
+    | Smr_runtime.Explore.Exhausted _ | Smr_runtime.Explore.Limit_reached _ ->
+        ()
+  done
+
 let suite =
-  List.concat_map
+  Alcotest.test_case "hp-dequeue-validates-head" `Quick
+    test_hp_dequeue_validates_head
+  :: List.concat_map
     (fun (name, (module S : SMR)) ->
       let module T = Make (S) in
       T.suite name)

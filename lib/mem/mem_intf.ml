@@ -16,7 +16,7 @@
       backpressure and, past it, an out-of-memory failure. *)
 
 exception Out_of_memory of string
-(** Raised by {!Smr.Lifecycle.on_alloc} when an allocation exceeds the
+(** Raised by {!Smr.Lifecycle.on_alloc_hot} when an allocation exceeds the
     configured budget even after the scheme's pressure-relief callback ran.
     Distinct from [Stdlib.Out_of_memory]: this is a {e simulated} OOM, part
     of the experiment, and the harness records it as a failure row. *)

@@ -33,6 +33,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
        uncosted, so adoption never perturbs the schedule. *)
     mutable orphans : (int * 'a node) list;
     orphan_lock : Mutex.t;
+    mutable on_pressure : unit -> unit;
+        (* budget relief, one own-thread scan: built once at [create] so
+           the allocation path does not close over [t] per node *)
     (* Metrics (plain atomics, no simulated cost). *)
     m_epoch_advances : Metrics.Counter.t;
     m_scans : Metrics.Counter.t;
@@ -46,25 +49,6 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   (* Per-node scheme overhead in modelled bytes: the retire-epoch tag and
      the limbo-list link (two words). *)
   let node_overhead_bytes = 16
-
-  let create (cfg : Smr_intf.config) =
-    {
-      cfg;
-      counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
-      epoch = R.Atomic.make 0;
-      reg = Slot_registry.create ~capacity:cfg.max_threads;
-      reservations =
-        Array.init cfg.max_threads (fun _ -> R.Atomic.make inactive);
-      limbo = Array.make cfg.max_threads [];
-      since_scan = Array.make cfg.max_threads 0;
-      orphans = [];
-      orphan_lock = Mutex.create ();
-      m_epoch_advances = Metrics.Counter.make "epoch_advances";
-      m_scans = Metrics.Counter.make "scans";
-      m_scanned = Metrics.Counter.make "scanned_nodes";
-      m_orphaned = Metrics.Counter.make "orphaned";
-      m_adopted = Metrics.Counter.make "adopted";
-    }
 
   let data n =
     Lifecycle.check_not_freed ~scheme:scheme_name ~what:"data" n.state;
@@ -145,6 +129,31 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     t.since_scan.(sid) <- 0;
     Slot_registry.release t.reg s
 
+  let create (cfg : Smr_intf.config) =
+    let t =
+      {
+        cfg;
+        counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
+        epoch = R.Atomic.make 0;
+        reg = Slot_registry.create ~capacity:cfg.max_threads;
+        reservations =
+          Array.init cfg.max_threads (fun _ -> R.Atomic.make inactive);
+        limbo = Array.make cfg.max_threads [];
+        since_scan = Array.make cfg.max_threads 0;
+        orphans = [];
+        orphan_lock = Mutex.create ();
+        on_pressure = ignore;
+        m_epoch_advances = Metrics.Counter.make "epoch_advances";
+        m_scans = Metrics.Counter.make "scans";
+        m_scanned = Metrics.Counter.make "scanned_nodes";
+        m_orphaned = Metrics.Counter.make "orphaned";
+        m_adopted = Metrics.Counter.make "adopted";
+      }
+    in
+    t.on_pressure <-
+      (fun () -> scan t (Slot_registry.ensure t.reg ~tid:(R.self ())));
+    t
+
   (* Budget relief: one own-thread scan. Under a stalled reservation the
      horizon is pinned and the scan frees nothing — EBR then genuinely runs
      out of memory, the non-robustness the footprint figure shows. *)
@@ -154,8 +163,12 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       + Option.value bytes ~default:t.cfg.Smr_intf.node_bytes
     in
     R.alloc_point ~bytes;
-    let relieve () = scan t (Slot_registry.ensure t.reg ~tid:(R.self ())) in
-    { payload; state = Lifecycle.on_alloc ~bytes ~relieve ~scheme:scheme_name t.counters }
+    {
+      payload;
+      state =
+        Lifecycle.on_alloc_hot ~bytes ~relieve:t.on_pressure
+          ~scheme:scheme_name t.counters;
+    }
 
   let retire t g n =
     Lifecycle.on_retire ~scheme:scheme_name n.state t.counters;

@@ -5,7 +5,12 @@
     thread's reservation slots and validates that the clock did not move.
     A node is freed once no published era falls inside its
     [birth, retire] lifespan. Robust, O(mn) scans like HP, but dereferences
-    are cheaper because many hit an already-published era. *)
+    are cheaper because many hit an already-published era: each slot keeps
+    a plain owner copy of the eras it published, so a [protect] on an index
+    that already holds the current era reads the pointer and the clock and
+    publishes nothing. Only the first [protect] on an index within an
+    operation, and one that sees the clock move, pays the store
+    (DESIGN.md §15, "Baseline reader paths"). *)
 
 module Make (R : Smr_runtime.Runtime_intf.S) = struct
   let scheme_name = "HE"
@@ -28,12 +33,19 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     era : int R.Atomic.t;
     reg : Slot_registry.t;
     reservations : int R.Atomic.t array array;  (* [slot].(idx) = era or none *)
+    (* [slot].(idx): the era the slot's owner last published there, or
+       [none]. Read and written by the owner only, so plain and uncharged;
+       reset wherever the reservation is. *)
+    owned : int array array;
     limbo : 'a node list array;
     limbo_len : int array;
     since_scan : int array;
     (* Limbo handed off by departed threads, adopted by the next scan. *)
     mutable orphans : 'a node list;
     orphan_lock : Mutex.t;
+    mutable on_pressure : unit -> unit;
+        (* budget relief, one own-thread scan: built once at [create] so
+           the allocation path does not close over [t] per node *)
     (* Allocation counter driving era bumps. Plain [Stdlib.Atomic] so that
        prefill (outside any logical thread) can allocate too; the paper
        counts per thread, but only the bump frequency matters. *)
@@ -51,28 +63,6 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
      the limbo link and length tag (four words). *)
   let node_overhead_bytes = 32
 
-  let create (cfg : Smr_intf.config) =
-    {
-      cfg;
-      counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
-      era = R.Atomic.make 0;
-      reg = Slot_registry.create ~capacity:cfg.max_threads;
-      reservations =
-        Array.init cfg.max_threads (fun _ ->
-            Array.init cfg.hp_indices (fun _ -> R.Atomic.make none));
-      limbo = Array.make cfg.max_threads [];
-      limbo_len = Array.make cfg.max_threads 0;
-      since_scan = Array.make cfg.max_threads 0;
-      orphans = [];
-      orphan_lock = Mutex.create ();
-      alloc_clock = Stdlib.Atomic.make 0;
-      m_scans = Metrics.Counter.make "scans";
-      m_scanned = Metrics.Counter.make "scanned_nodes";
-      m_era_advances = Metrics.Counter.make "era_advances";
-      m_orphaned = Metrics.Counter.make "orphaned";
-      m_adopted = Metrics.Counter.make "adopted";
-    }
-
   let data n =
     Lifecycle.check_not_freed ~scheme:scheme_name ~what:"data" n.state;
     n.payload
@@ -81,23 +71,40 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     { sid = Slot_registry.ensure t.reg ~tid:(R.self ()); used = 0 }
 
   let leave t g =
-    let slots = t.reservations.(g.sid) in
+    let slots = t.reservations.(g.sid) and owned = t.owned.(g.sid) in
     for idx = 0 to g.used - 1 do
-      R.Atomic.set slots.(idx) none
+      R.Atomic.set slots.(idx) none;
+      owned.(idx) <- none
     done;
     g.used <- 0
 
+  (* Publish [era] on [idx], read the pointer, and validate that the clock
+     did not move; on a move, republish the new era and retry. *)
+  let rec publish_attempt t slot owned idx read era =
+    R.Atomic.set slot era;
+    owned.(idx) <- era;
+    let v = read () in
+    let now = R.Atomic.get t.era in
+    if now = era then v else publish_attempt t slot owned idx read now
+
+  (* [idx] already holds [era]: the published get_protected loop, which
+     stores only when the clock moved past it. *)
+  let hit_attempt t slot owned idx read era =
+    let v = read () in
+    let now = R.Atomic.get t.era in
+    if now = era then v else publish_attempt t slot owned idx read now
+
+  (* The first protect on an index within an operation charges the era
+     read, the publish, the pointer read and the validating era read;
+     later ones charge only the pointer and era reads while the era holds. *)
   let protect t g ~idx ~read ~target:_ =
     if idx >= t.cfg.hp_indices then invalid_arg "He.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
-    let slot = t.reservations.(g.sid).(idx) in
-    let rec attempt prev =
-      R.Atomic.set slot prev;
-      let v = read () in
-      let now = R.Atomic.get t.era in
-      if now = prev then v else attempt now
-    in
-    attempt (R.Atomic.get t.era)
+    let slot = t.reservations.(g.sid).(idx) and owned = t.owned.(g.sid) in
+    let era = owned.(idx) in
+    if era = none then
+      publish_attempt t slot owned idx read (R.Atomic.get t.era)
+    else hit_attempt t slot owned idx read era
 
   (* Snapshot every published era once (charged), then partition with pure
      interval tests. *)
@@ -147,6 +154,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     for idx = 0 to t.cfg.hp_indices - 1 do
       R.Atomic.set row.(idx) none
     done;
+    Array.fill t.owned.(s.Slot_registry.id) 0 t.cfg.hp_indices none;
     s
 
   let deregister t (s : Slot_registry.slot) =
@@ -155,6 +163,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     for idx = 0 to t.cfg.hp_indices - 1 do
       R.Atomic.set row.(idx) none
     done;
+    Array.fill t.owned.(sid) 0 t.cfg.hp_indices none;
     if t.limbo.(sid) <> [] then scan t sid;
     (match t.limbo.(sid) with
     | [] -> ()
@@ -167,6 +176,36 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
         Mutex.unlock t.orphan_lock);
     t.since_scan.(sid) <- 0;
     Slot_registry.release t.reg s
+
+  let create (cfg : Smr_intf.config) =
+    let t =
+      {
+        cfg;
+        counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
+        era = R.Atomic.make 0;
+        reg = Slot_registry.create ~capacity:cfg.max_threads;
+        reservations =
+          Array.init cfg.max_threads (fun _ ->
+              Array.init cfg.hp_indices (fun _ -> R.Atomic.make none));
+        owned =
+          Array.init cfg.max_threads (fun _ -> Array.make cfg.hp_indices none);
+        limbo = Array.make cfg.max_threads [];
+        limbo_len = Array.make cfg.max_threads 0;
+        since_scan = Array.make cfg.max_threads 0;
+        orphans = [];
+        orphan_lock = Mutex.create ();
+        on_pressure = ignore;
+        alloc_clock = Stdlib.Atomic.make 0;
+        m_scans = Metrics.Counter.make "scans";
+        m_scanned = Metrics.Counter.make "scanned_nodes";
+        m_era_advances = Metrics.Counter.make "era_advances";
+        m_orphaned = Metrics.Counter.make "orphaned";
+        m_adopted = Metrics.Counter.make "adopted";
+      }
+    in
+    t.on_pressure <-
+      (fun () -> scan t (Slot_registry.ensure t.reg ~tid:(R.self ())));
+    t
 
   (* Era bumps happen on allocation, every [era_freq] allocations, as in the
      original HE and in Hyaline-S (Fig. 5, init_node). Budget relief is one
@@ -182,12 +221,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       R.Atomic.incr t.era;
       Metrics.Counter.incr t.m_era_advances
     end;
-    let relieve () = scan t (Slot_registry.ensure t.reg ~tid:(R.self ())) in
     {
       payload;
       state =
-        Lifecycle.on_alloc ~bytes:mem_bytes ~relieve ~scheme:scheme_name
-          t.counters;
+        Lifecycle.on_alloc_hot ~bytes:mem_bytes ~relieve:t.on_pressure
+          ~scheme:scheme_name t.counters;
       birth = R.Atomic.get t.era;
       retire_era = none;
     }

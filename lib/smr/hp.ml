@@ -26,6 +26,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     (* Limbo handed off by departed threads, adopted by the next scan. *)
     mutable orphans : 'a node list;
     orphan_lock : Mutex.t;
+    mutable on_pressure : unit -> unit;
+        (* budget relief, one own-thread scan: built once at [create] so
+           the allocation path does not close over [t] per node *)
     m_scans : Metrics.Counter.t;
     m_scanned : Metrics.Counter.t;
     m_orphaned : Metrics.Counter.t;
@@ -37,24 +40,6 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   (* Per-node scheme overhead in modelled bytes: the limbo link plus the
      hazard record the node may occupy (two words). *)
   let node_overhead_bytes = 16
-
-  let create (cfg : Smr_intf.config) =
-    {
-      cfg;
-      counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
-      reg = Slot_registry.create ~capacity:cfg.max_threads;
-      hazards =
-        Array.init cfg.max_threads (fun _ ->
-            Array.init cfg.hp_indices (fun _ -> R.Atomic.make None));
-      limbo = Array.make cfg.max_threads [];
-      limbo_len = Array.make cfg.max_threads 0;
-      orphans = [];
-      orphan_lock = Mutex.create ();
-      m_scans = Metrics.Counter.make "scans";
-      m_scanned = Metrics.Counter.make "scanned_nodes";
-      m_orphaned = Metrics.Counter.make "orphaned";
-      m_adopted = Metrics.Counter.make "adopted";
-    }
 
   let data n =
     Lifecycle.check_not_freed ~scheme:scheme_name ~what:"data" n.state;
@@ -70,24 +55,26 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     done;
     g.used <- 0
 
+  (* Publish the candidate and validate by re-reading the source. The
+     hazard stores [p], the very box [target] returned, so a dereference
+     allocates nothing. *)
+  let rec protect_attempt slot read target =
+    let v = read () in
+    match target v with
+    | None ->
+        R.Atomic.set slot None;
+        v
+    | Some n as p -> (
+        R.Atomic.set slot p;
+        let v' = read () in
+        match target v' with
+        | Some n' when n' == n -> v'
+        | Some _ | None -> protect_attempt slot read target)
+
   let protect t g ~idx ~read ~target =
     if idx >= t.cfg.hp_indices then invalid_arg "Hp.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
-    let slot = t.hazards.(g.sid).(idx) in
-    let rec attempt () =
-      let v = read () in
-      match target v with
-      | None ->
-          R.Atomic.set slot None;
-          v
-      | Some n ->
-          R.Atomic.set slot (Some n);
-          let v' = read () in
-          (match target v' with
-          | Some n' when n' == n -> v'
-          | Some _ | None -> attempt ())
-    in
-    attempt ()
+    protect_attempt t.hazards.(g.sid).(idx) read target
 
   (* One pass over all published hazards (the charged O(mn) reads of
      Table 1), then a pure membership test per limbo node. *)
@@ -159,6 +146,30 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
         Mutex.unlock t.orphan_lock);
     Slot_registry.release t.reg s
 
+  let create (cfg : Smr_intf.config) =
+    let t =
+      {
+        cfg;
+        counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
+        reg = Slot_registry.create ~capacity:cfg.max_threads;
+        hazards =
+          Array.init cfg.max_threads (fun _ ->
+              Array.init cfg.hp_indices (fun _ -> R.Atomic.make None));
+        limbo = Array.make cfg.max_threads [];
+        limbo_len = Array.make cfg.max_threads 0;
+        orphans = [];
+        orphan_lock = Mutex.create ();
+        on_pressure = ignore;
+        m_scans = Metrics.Counter.make "scans";
+        m_scanned = Metrics.Counter.make "scanned_nodes";
+        m_orphaned = Metrics.Counter.make "orphaned";
+        m_adopted = Metrics.Counter.make "adopted";
+      }
+    in
+    t.on_pressure <-
+      (fun () -> scan t (Slot_registry.ensure t.reg ~tid:(R.self ())));
+    t
+
   (* Budget relief: one own-thread scan — frees everything except the few
      nodes pinned by published hazards, so HP degrades gracefully. *)
   let alloc ?bytes t payload =
@@ -167,8 +178,12 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       + Option.value bytes ~default:t.cfg.Smr_intf.node_bytes
     in
     R.alloc_point ~bytes;
-    let relieve () = scan t (Slot_registry.ensure t.reg ~tid:(R.self ())) in
-    { payload; state = Lifecycle.on_alloc ~bytes ~relieve ~scheme:scheme_name t.counters }
+    {
+      payload;
+      state =
+        Lifecycle.on_alloc_hot ~bytes ~relieve:t.on_pressure
+          ~scheme:scheme_name t.counters;
+    }
 
   let retire t g n =
     Lifecycle.on_retire ~scheme:scheme_name n.state t.counters;

@@ -37,6 +37,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     (* Limbo handed off by departed threads, adopted by the next scan. *)
     mutable orphans : 'a node list;
     orphan_lock : Mutex.t;
+    mutable on_pressure : unit -> unit;
+        (* budget relief, one own-thread scan: built once at [create] so
+           the allocation path does not close over [t] per node *)
     alloc_clock : int Stdlib.Atomic.t;
     m_scans : Metrics.Counter.t;
     m_scanned : Metrics.Counter.t;
@@ -50,27 +53,6 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   (* Per-node scheme overhead in modelled bytes: birth and retire eras plus
      the limbo link and length tag (four words). *)
   let node_overhead_bytes = 32
-
-  let create (cfg : Smr_intf.config) =
-    {
-      cfg;
-      counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
-      era = R.Atomic.make 0;
-      reg = Slot_registry.create ~capacity:cfg.max_threads;
-      lower = Array.init cfg.max_threads (fun _ -> R.Atomic.make none);
-      upper = Array.init cfg.max_threads (fun _ -> R.Atomic.make none);
-      limbo = Array.make cfg.max_threads [];
-      limbo_len = Array.make cfg.max_threads 0;
-      since_scan = Array.make cfg.max_threads 0;
-      orphans = [];
-      orphan_lock = Mutex.create ();
-      alloc_clock = Stdlib.Atomic.make 0;
-      m_scans = Metrics.Counter.make "scans";
-      m_scanned = Metrics.Counter.make "scanned_nodes";
-      m_era_advances = Metrics.Counter.make "era_advances";
-      m_orphaned = Metrics.Counter.make "orphaned";
-      m_adopted = Metrics.Counter.make "adopted";
-    }
 
   let data n =
     Lifecycle.check_not_freed ~scheme:scheme_name ~what:"data" n.state;
@@ -88,18 +70,20 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     R.Atomic.set t.upper.(g.sid) none
 
   (* 2GE dereference: raise the upper reservation until it covers the era at
-     which the pointer was read, re-reading on each raise. *)
-  let protect t g ~idx:_ ~read ~target:_ =
-    let rec attempt () =
-      let v = read () in
-      let e = R.Atomic.get t.era in
-      if R.Atomic.get t.upper.(g.sid) >= e then v
-      else begin
-        R.Atomic.set t.upper.(g.sid) e;
-        attempt ()
-      end
-    in
-    attempt ()
+     which the pointer was read, re-reading on each raise. The read of the
+     thread's own [upper] stays charged, unlike HE's owner copy: dropping
+     it reshapes IBR's schedules and moved its figure-grid footprint by
+     11% (DESIGN.md §15, "Baseline reader paths"). *)
+  let rec protect_attempt t sid read =
+    let v = read () in
+    let e = R.Atomic.get t.era in
+    if R.Atomic.get t.upper.(sid) >= e then v
+    else begin
+      R.Atomic.set t.upper.(sid) e;
+      protect_attempt t sid read
+    end
+
+  let protect t g ~idx:_ ~read ~target:_ = protect_attempt t g.sid read
 
   (* Snapshot every reservation interval once (charged O(n) reads), then
      partition with pure interval-overlap tests. *)
@@ -169,6 +153,33 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     t.since_scan.(sid) <- 0;
     Slot_registry.release t.reg s
 
+  let create (cfg : Smr_intf.config) =
+    let t =
+      {
+        cfg;
+        counters = Lifecycle.make_counters ~mem:(Smr_intf.mem_config cfg) ();
+        era = R.Atomic.make 0;
+        reg = Slot_registry.create ~capacity:cfg.max_threads;
+        lower = Array.init cfg.max_threads (fun _ -> R.Atomic.make none);
+        upper = Array.init cfg.max_threads (fun _ -> R.Atomic.make none);
+        limbo = Array.make cfg.max_threads [];
+        limbo_len = Array.make cfg.max_threads 0;
+        since_scan = Array.make cfg.max_threads 0;
+        orphans = [];
+        orphan_lock = Mutex.create ();
+        on_pressure = ignore;
+        alloc_clock = Stdlib.Atomic.make 0;
+        m_scans = Metrics.Counter.make "scans";
+        m_scanned = Metrics.Counter.make "scanned_nodes";
+        m_era_advances = Metrics.Counter.make "era_advances";
+        m_orphaned = Metrics.Counter.make "orphaned";
+        m_adopted = Metrics.Counter.make "adopted";
+      }
+    in
+    t.on_pressure <-
+      (fun () -> scan t (Slot_registry.ensure t.reg ~tid:(R.self ())));
+    t
+
   (* Era clock as in HE; budget relief is one own-thread scan — frozen
      reservation intervals pin only overlapping lifespans, so IBR sheds
      pressure gracefully. *)
@@ -183,12 +194,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       R.Atomic.incr t.era;
       Metrics.Counter.incr t.m_era_advances
     end;
-    let relieve () = scan t (Slot_registry.ensure t.reg ~tid:(R.self ())) in
     {
       payload;
       state =
-        Lifecycle.on_alloc ~bytes:mem_bytes ~relieve ~scheme:scheme_name
-          t.counters;
+        Lifecycle.on_alloc_hot ~bytes:mem_bytes ~relieve:t.on_pressure
+          ~scheme:scheme_name t.counters;
       birth = R.Atomic.get t.era;
       retire_era = none;
     }

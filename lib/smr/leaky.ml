@@ -39,7 +39,12 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       + Option.value bytes ~default:t.cfg.Smr_intf.node_bytes
     in
     R.alloc_point ~bytes;
-    { payload; state = Lifecycle.on_alloc ~bytes ~scheme:scheme_name t.counters }
+    {
+      payload;
+      state =
+        Lifecycle.on_alloc_hot ~bytes ~relieve:ignore ~scheme:scheme_name
+          t.counters;
+    }
 
   let data n =
     Lifecycle.check_not_freed ~scheme:scheme_name ~what:"data" n.state;

@@ -20,7 +20,7 @@
 
     {b Pressure protocol} (DESIGN.md §9): when the arena refuses an
     allocation because it would exceed the configured byte budget,
-    {!on_alloc} invokes the scheme's [relieve] callback — a bounded
+    {!on_alloc_hot} invokes the scheme's [relieve] callback — a bounded
     reclamation attempt on the calling thread's own state — and retries
     once. If the retry still fails, the simulated out-of-memory condition
     {!Mem.Mem_intf.Out_of_memory} is raised; the harness executor records
@@ -110,26 +110,24 @@ let snapshot ~scheme ~series c : Metrics.snapshot =
     mem = Mem.Arena.stats c.arena;
   }
 
-(* The two-phase budget protocol: refuse -> relieve -> retry -> OOM. *)
-let acquire_slot ?relieve ~scheme ~bytes counters =
+(* The second phase of the budget protocol, entered after the arena
+   refused once: relieve, retry, and on a second refusal raise OOM. Each
+   refusal counts one [pressure_events]; the first was counted by the
+   [alloc_exn] that raised. *)
+let relieve_and_retry ~relieve ~scheme ~bytes counters =
+  relieve ();
   match Mem.Arena.alloc_exn counters.arena ~bytes with
   | slot -> slot
-  | exception Mem.Arena.Budget -> (
-      (match relieve with Some f -> f () | None -> ());
-      match Mem.Arena.alloc_exn counters.arena ~bytes with
-      | slot -> slot
-      | exception Mem.Arena.Budget ->
-          Mem.Arena.note_oom counters.arena;
-          raise
-            (Mem.Mem_intf.Out_of_memory
-               (Printf.sprintf
-                  "%s: %dB allocation exceeds the %dB budget (resident %dB \
-                   after reclamation relief)"
-                  scheme bytes
-                  (Option.value
-                     (Mem.Arena.budget_bytes counters.arena)
-                     ~default:0)
-                  (Mem.Arena.bytes_resident counters.arena))))
+  | exception Mem.Arena.Budget ->
+      Mem.Arena.note_oom counters.arena;
+      raise
+        (Mem.Mem_intf.Out_of_memory
+           (Printf.sprintf
+              "%s: %dB allocation exceeds the %dB budget (resident %dB \
+               after reclamation relief)"
+              scheme bytes
+              (Option.value (Mem.Arena.budget_bytes counters.arena) ~default:0)
+              (Mem.Arena.bytes_resident counters.arena)))
 
 let[@inline] fresh_cell slot =
   {
@@ -137,23 +135,12 @@ let[@inline] fresh_cell slot =
     slot;
   }
 
-(* [bytes] defaults to the arena's configured node size; [relieve] is the
-   scheme's bounded own-thread reclamation attempt, invoked only under
-   budget pressure. *)
-let on_alloc ?bytes ?relieve ~scheme counters : cell =
-  let bytes =
-    match bytes with
-    | Some b -> b
-    | None -> Mem.Arena.node_bytes counters.arena
-  in
-  let slot = acquire_slot ?relieve ~scheme ~bytes counters in
-  Stdlib.Atomic.incr counters.allocated;
-  fresh_cell slot
-
-(* Allocation-free variant of {!on_alloc} for per-node hot paths: both
-   labels are required, so no [Some] box is built per call and the
-   defaulting match disappears. [bytes = 0] means the arena's configured
-   node size. *)
+(* The one allocation path, allocation-free itself: both labels are
+   required, so no [Some] box is built per call, and every scheme builds
+   its [relieve] closure once per instance. [bytes = 0] means the arena's
+   configured node size; [relieve] is the scheme's bounded own-thread
+   reclamation attempt, run only when the arena refuses (the two-phase
+   protocol: refuse -> relieve -> retry -> OOM). *)
 let on_alloc_hot ~bytes ~relieve ~scheme counters : cell =
   let bytes =
     if bytes > 0 then bytes else Mem.Arena.node_bytes counters.arena
@@ -162,7 +149,7 @@ let on_alloc_hot ~bytes ~relieve ~scheme counters : cell =
     match Mem.Arena.alloc_exn counters.arena ~bytes with
     | slot -> slot
     | exception Mem.Arena.Budget ->
-        acquire_slot ~relieve ~scheme ~bytes counters
+        relieve_and_retry ~relieve ~scheme ~bytes counters
   in
   Stdlib.Atomic.incr counters.allocated;
   fresh_cell slot

@@ -46,7 +46,7 @@ type config = {
           variable-size nodes pass their own count per allocation) *)
   budget_bytes : int option;
       (** arena resident-bytes ceiling; exceeding it triggers the
-          backpressure protocol in {!Lifecycle.on_alloc} (DESIGN.md §9) *)
+          backpressure protocol in {!Lifecycle.on_alloc_hot} (DESIGN.md §9) *)
 }
 
 let default_config =

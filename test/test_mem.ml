@@ -79,7 +79,7 @@ let test_arena_reuse () =
 
 let test_gen_aba_detection () =
   let counters = Smr.Lifecycle.make_counters () in
-  let c = Smr.Lifecycle.on_alloc ~scheme:"X" counters in
+  let c = Smr.Lifecycle.on_alloc_hot ~bytes:0 ~relieve:ignore ~scheme:"X" counters in
   Smr.Lifecycle.on_retire ~scheme:"X" c counters;
   Smr.Lifecycle.on_free ~scheme:"X" c counters;
   (* Freed but not yet reissued: a plain use-after-free, no ABA claim. *)
@@ -92,7 +92,7 @@ let test_gen_aba_detection () =
         false (contains msg "ABA"));
   (* Reissue the slot to a fresh node: the stale pointer is now ABA and the
      auditor says so. *)
-  let _fresh = Smr.Lifecycle.on_alloc ~scheme:"X" counters in
+  let _fresh = Smr.Lifecycle.on_alloc_hot ~bytes:0 ~relieve:ignore ~scheme:"X" counters in
   match Smr.Lifecycle.check_not_freed ~scheme:"X" ~what:"deref" c with
   | () -> Alcotest.fail "ABA'd node dereference accepted"
   | exception Smr.Smr_intf.Use_after_free msg ->
@@ -156,6 +156,44 @@ let test_budget_oom () =
         ("OOM names the scheme: " ^ msg)
         true (contains msg "Epoch");
       Alcotest.(check bool) "OOM names the budget" true (contains msg "1024")
+
+(* An allocation the arena refuses once, whose relief frees enough for
+   the retry, is one pressure event: the retry's grant must not count a
+   second refusal. Retired nodes sit outside any bracket, so the relief
+   (an EBR scan, a Hyaline-S batch seal) frees them all. *)
+let test_pressure_counted_once () =
+  List.iter
+    (fun (name, (module S : SMR)) ->
+      let pressure t = (S.metrics t).Smr.Metrics.mem.Mi.pressure_events in
+      let freed t = (S.stats t).Smr.Smr_intf.freed in
+      let hit =
+        run_solo (fun () ->
+            let t = S.create pressure_cfg in
+            let rec go i =
+              if i > 64 then None
+              else
+                let p0 = pressure t and f0 = freed t in
+                let n = S.alloc t i in
+                let p1 = pressure t in
+                if p1 > p0 then Some (p1 - p0, freed t - f0)
+                else begin
+                  let g = S.enter t in
+                  S.retire t g n;
+                  S.leave t g;
+                  go (i + 1)
+                end
+            in
+            go 1)
+      in
+      match hit with
+      | None -> Alcotest.fail (name ^ ": the budget never refused")
+      | Some (events, relieved) ->
+          Alcotest.(check bool) (name ^ ": the relief freed nodes") true
+            (relieved > 0);
+          Alcotest.(check int)
+            (name ^ ": one refused-then-granted allocation, one event")
+            1 events)
+    [ ("epoch", (module Ebr : SMR)); ("hyaline-s", (module Hyaline_s)) ]
 
 (* -- executor: OOM as a recorded failure row ------------------------------ *)
 
@@ -250,14 +288,14 @@ let broken_reuse_program : Explore.program =
   let shared = Cell.make None in
   let hazard = Cell.make None in
   let writer () =
-    let n = Smr.Lifecycle.on_alloc ~scheme counters in
+    let n = Smr.Lifecycle.on_alloc_hot ~bytes:0 ~relieve:ignore ~scheme counters in
     Cell.set shared (Some n);
     Cell.set shared None;
     Smr.Lifecycle.on_retire ~scheme n counters;
     (* BUG: frees without scanning [hazard]. *)
     Smr.Lifecycle.on_free ~scheme n counters;
     (* Free-list reuse makes the bug an ABA, not just a dangling read. *)
-    ignore (Smr.Lifecycle.on_alloc ~scheme counters)
+    ignore (Smr.Lifecycle.on_alloc_hot ~bytes:0 ~relieve:ignore ~scheme counters)
   in
   let reader () =
     match Cell.get shared with
@@ -330,6 +368,8 @@ let suite =
     Alcotest.test_case "budget relief (graceful)" `Quick
       test_budget_relief_graceful;
     Alcotest.test_case "budget OOM (pinned horizon)" `Quick test_budget_oom;
+    Alcotest.test_case "pressure counted once" `Quick
+      test_pressure_counted_once;
     Alcotest.test_case "executor OOM failure row" `Quick test_executor_oom_row;
     Alcotest.test_case "timeline + json round trip" `Quick
       test_timeline_roundtrip;

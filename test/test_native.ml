@@ -17,6 +17,7 @@ module N_crystalline_l = Hyaline_core.Crystalline_l.Make (Native)
 module N_crystalline_w = Hyaline_core.Crystalline_w.Make (Native)
 module N_ebr = Smr.Ebr.Make (Native)
 module N_hp = Smr.Hp.Make (Native)
+module N_he = Smr.He.Make (Native)
 module N_ibr = Smr.Ibr.Make (Native)
 
 let cfg =
@@ -88,6 +89,42 @@ module Make (S : SMR) = struct
     ]
 end
 
+(* A dereference allocates nothing: one thread inside one bracket, the
+   [read] and [target] closures and the node built beforehand, and no
+   allocation in flight, so every minor word counted across the loop is
+   the scheme's own [protect]. Rotating three indices as the list does
+   exercises HE's first-on-index publish and its published-era hits. *)
+let test_protect_allocates_nothing () =
+  let calls = 10_000 in
+  List.iter
+    (fun (name, (module S : SMR)) ->
+      Native.set_self 0;
+      let t = S.create cfg in
+      let cell = Stdlib.Atomic.make (Some (S.alloc t ())) in
+      let read () = Stdlib.Atomic.get cell in
+      let target o = o in
+      let g = S.enter t in
+      ignore (S.protect t g ~idx:0 ~read ~target);
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        ignore (S.protect t g ~idx:(i mod 3) ~read ~target)
+      done;
+      let words = Gc.minor_words () -. before in
+      S.leave t g;
+      let per_call = words /. float_of_int calls in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per protect <= 0.01" name
+           per_call)
+        true (per_call <= 0.01))
+    [
+      ("epoch", (module N_ebr : SMR));
+      ("hp", (module N_hp));
+      ("he", (module N_he));
+      ("ibr", (module N_ibr));
+      ("hyaline", (module N_hyaline));
+      ("hyaline-s", (module N_hyaline_s));
+    ]
+
 (* Batch-record pool: every domain that frees a batch pushes its record
    back, and every seal pops one, so two domains sealing and freeing
    against one pool must never be handed the same record. Each sealed
@@ -130,6 +167,8 @@ let test_pool_two_domains () =
 
 let suite =
   Alcotest.test_case "batch-pool-2-domains" `Quick test_pool_two_domains
+  :: Alcotest.test_case "protect-allocates-nothing" `Quick
+       test_protect_allocates_nothing
   :: List.concat_map
     (fun (name, (module S : SMR)) ->
       let module T = Make (S) in
@@ -144,5 +183,6 @@ let suite =
       ("crystalline-w", (module N_crystalline_w));
       ("epoch", (module N_ebr));
       ("hp", (module N_hp));
+      ("he", (module N_he));
       ("ibr", (module N_ibr));
     ]

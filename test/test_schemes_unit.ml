@@ -5,6 +5,7 @@
 
 module Sched = Smr_runtime.Scheduler
 module Sim = Smr_runtime.Sim_runtime
+module Cell = Smr_runtime.Sim_cell
 open Test_support
 
 (* ---- EBR: a reservation blocks exactly the nodes retired at or after
@@ -192,6 +193,108 @@ let test_auditor_detects_misuse () =
       | _ -> Alcotest.fail "use-after-free must raise"
       | exception Smr.Smr_intf.Use_after_free _ -> ())
 
+(* ---- HE's reader protocol under a stalled reader. A [contains] whose
+   first protect on an index finds the era its previous operation
+   published must find that era still published: [leave] clears the
+   reservations, so it must clear the owner copy too, or the operation
+   skips the publish and traverses unprotected. The reader walks the
+   whole list while the writer churns it in rounds, removing every key
+   with a scan per retire ([batch_size = 1]); the era moves only every
+   16 allocations, so most reader operations start on an unmoved era.
+   Parking the reader mid-traversal lets a removal free a node under it.
+   With the owner copy left set by [leave], this sweep hits a
+   use-after-free at most stall points. *)
+module He_list = Smr_ds.Harris_michael_list.Make (He)
+
+let test_he_reader_stall_sweep () =
+  let keys = List.init 6 (fun i -> 10 * (i + 1)) in
+  let program () =
+    let l =
+      He_list.create
+        {
+          (test_cfg ~threads:3) with
+          Smr.Smr_intf.batch_size = 1;
+          era_freq = 16;
+        }
+    in
+    ( [
+        (fun () ->
+          for _ = 1 to 60 do
+            ignore (He_list.contains l 65)
+          done);
+        (fun () ->
+          for _ = 1 to 8 do
+            List.iter (fun k -> ignore (He_list.insert l k)) keys;
+            for _ = 1 to 25 do
+              Sim.yield ()
+            done;
+            List.iter (fun k -> ignore (He_list.remove l k)) keys
+          done);
+        (* Keeps decisions coming while the reader is parked, so the fault
+           plan's resume point is always reached. *)
+        (fun () ->
+          for _ = 1 to 3000 do
+            Sim.yield ()
+          done);
+      ],
+      fun () -> true )
+  in
+  for step = 1 to 80 do
+    let at = 5 * step in
+    match
+      Smr_runtime.Explore.explore
+        ~mode:(Smr_runtime.Explore.Random_walk { walks = 10 })
+        ~seed:at
+        ~faults:
+          [ Smr_runtime.Explore.stall_at ~victim:0 ~at ~resume_at:(at + 500) () ]
+        ~max_steps:max_int program
+    with
+    | Smr_runtime.Explore.Violation { message; _ } ->
+        Alcotest.fail (Printf.sprintf "reader parked at %d: %s" at message)
+    | Smr_runtime.Explore.Exhausted _ | Smr_runtime.Explore.Limit_reached _ ->
+        ()
+  done
+
+(* ---- Charged ops of one traversal. A lone thread's [contains] over a
+   [k]-node list, with no allocation in flight (so the era holds): HE
+   publishes at most once per hazard index it uses, not once per node,
+   while HP and IBR keep their per-node sequences exactly. *)
+let traversal_counts (module S : SMR) ~k =
+  let module L = Smr_ds.Harris_michael_list.Make (S) in
+  run_solo (fun () ->
+      let l = L.create (test_cfg ~threads:1) in
+      for key = 1 to k do
+        ignore (L.insert l key)
+      done;
+      let g = L.enter l in
+      let before = Cell.snapshot_counts () in
+      ignore (L.contains_with l g k);
+      let d = Cell.diff_counts ~now:(Cell.snapshot_counts ()) ~past:before in
+      L.leave l g;
+      d)
+
+let test_traversal_charged_ops () =
+  let k = 32 in
+  let classes (c : Cell.op_counts) =
+    [ c.reads; c.writes; c.plain_writes; c.cas_ok; c.cas_fail; c.faas;
+      c.swaps; c.allocs ]
+  in
+  let he = traversal_counts (module He) ~k in
+  Alcotest.(check bool)
+    (Printf.sprintf "HE: %d writes for %d nodes, at most one per index (3)"
+       he.Cell.writes k)
+    true (he.Cell.writes <= 3);
+  List.iter
+    (fun (name, m, expected) ->
+      Alcotest.(check (list int))
+        (name ^ ": per-class op counts, one sequence per node")
+        expected
+        (classes (traversal_counts m ~k)))
+    [
+      ("HP", (module Hp : SMR), [ 65; 33; 0; 0; 0; 0; 0; 0 ]);
+      ("IBR", (module Ibr : SMR), [ 99; 0; 0; 0; 0; 0; 0; 0 ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "ebr-blocking" `Quick test_ebr_blocking;
@@ -200,6 +303,10 @@ let suite =
     Alcotest.test_case "ibr-interval-disjoint" `Quick
       test_ibr_interval_disjoint;
     Alcotest.test_case "he-reservation-pins" `Quick test_he_reservation_pins;
+    Alcotest.test_case "he-reader-stall-sweep" `Quick
+      test_he_reader_stall_sweep;
+    Alcotest.test_case "traversal-charged-ops" `Quick
+      test_traversal_charged_ops;
     Alcotest.test_case "head-dwcas-protocol" `Quick test_head_dwcas_protocol;
     Alcotest.test_case "leaky-protect-identity" `Quick
       test_leaky_protect_identity;

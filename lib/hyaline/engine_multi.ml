@@ -67,6 +67,9 @@ struct
     slot : 'a slot;
     slot_idx : int;
     handle : 'a B.node;  (* nil when the thread entered on an empty list *)
+    mutable access_seen : int;
+        (* the robust flavour's last validated lower bound on
+           [slot.access]; -1 until the operation's first [protect] *)
   }
 
   let next_pow2 n =
@@ -120,7 +123,7 @@ struct
     let slot_idx = choose_slot t sid in
     let slot = Dir.get t.dir slot_idx in
     let seen = H.enter_faa slot.head in
-    { sid; slot; slot_idx; handle = B.of_opt seen.hptr }
+    { sid; slot; slot_idx; handle = B.of_opt seen.hptr; access_seen = -1 }
 
   (* Fig. 3 traverse, plus the Fig. 5 ack decrement for the robust flavour.
      Decrements every node from [first] through [handle] inclusive; batches
@@ -170,13 +173,14 @@ struct
     | `Fail ->
         Smr.Metrics.Counter.incr t.m_leave_retries;
         leave_attempt t slot handle
-    | `Left detached ->
+    | `Detached ->
         (* The last thread detached the list: treat the ex-first node as a
            predecessor and grant it its slot's Adjs (Fig. 3 lines 16-17,
            with the per-batch Adjs of §4.3). *)
-        if detached && not (B.is_nil curr) then
+        if not (B.is_nil curr) then
           B.adjust ~counters:t.counters curr (B.batch_of curr).adjs;
         if fresh then traverse t slot next handle
+    | `Left -> if fresh then traverse t slot next handle
 
   let leave t g = leave_attempt t g.slot g.handle
 
@@ -202,18 +206,29 @@ struct
     else touch slot era
 
   (* Fig. 5 deref for the robust flavour; a plain read otherwise (basic
-     Hyaline needs no per-access work at all, §3). *)
-  let rec protect_attempt t slot read access =
+     Hyaline needs no per-access work at all, §3). Access eras only rise,
+     so a value this guard once validated stays a lower bound on
+     [slot.access] for the rest of the operation: only the operation's
+     first protect reads the shared era, later ones start from
+     [g.access_seen] and [touch] only when the era clock moved past it
+     (DESIGN.md §15 "Robust Hyaline reader path"). *)
+  let rec protect_attempt t g read access =
     let v = read () in
     let alloc = R.Atomic.get t.era in
-    if access >= alloc then v
-    else protect_attempt t slot read (touch slot alloc)
+    if access >= alloc then begin
+      g.access_seen <- access;
+      v
+    end
+    else protect_attempt t g read (touch g.slot alloc)
 
   let protect t g ~idx:_ ~read ~target:_ =
     if not F.robust then read ()
     else
-      let slot = g.slot in
-      protect_attempt t slot read (R.Atomic.get slot.access)
+      let access =
+        if g.access_seen < 0 then R.Atomic.get g.slot.access
+        else g.access_seen
+      in
+      protect_attempt t g read access
 
   (* Fig. 3 retire (batch insertion into every active slot), with the
      Fig. 5 REF #1# stale-era skip and ack bump for the robust flavour.

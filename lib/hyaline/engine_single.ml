@@ -12,10 +12,11 @@
     - [Eras] — Hyaline-1S (§4.2, Fig. 5) and Crystalline-L
       (arXiv:2108.02763): birth eras on allocation, per-slot access eras,
       and the lock-free validation loop, with [touch] an ordinary write
-      thanks to the 1:1 thread-to-slot mapping. A sealed batch skips a
-      slot whose access era predates the batch's minimum birth era, so a
-      stalled thread only ever poisons its own slot: fully robust
-      without resizing. The loop can starve — an adversarial allocator
+      thanks to the 1:1 thread-to-slot mapping — which also lets the
+      owner read its access era from a plain copy instead of the shared
+      cell. A sealed batch skips a slot whose access era predates the
+      batch's minimum birth era, so a stalled thread only ever poisons
+      its own slot: fully robust without resizing. The loop can starve — an adversarial allocator
       can keep a reader retrying forever — but memory stays bounded.
     - [Handshake] — Crystalline-W: the era loop capped at [fast_tries]
       retries, then a wait-free handshake. The reader publishes a helper
@@ -108,6 +109,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
        cost delta. The registry just recycles dense slot indices. *)
     reg : Smr.Slot_registry.t;
     slots : 'a slot array;  (* one per registered thread; k = max_threads *)
+    access_copy : int array;
+        (* [Eras]: the owner's plain copy of its slot's [access], the
+           value it last stored there *)
     idle : 'a word;  (* the shared inactive word, per instance *)
     era : int R.Atomic.t;
     alloc_clock : int Stdlib.Atomic.t;
@@ -197,14 +201,19 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
     if not (B.is_nil old.hptr) then traverse t old.hptr g.handle;
     g
 
-  (* Fig. 5 deref; touch is an ordinary write (1:1 thread-to-slot). *)
-  let rec era_attempt t slot read access =
+  (* Fig. 5 deref; touch is an ordinary write (1:1 thread-to-slot). The
+     owner is the only writer of an [Eras] slot's [access], so it reads
+     its own plain copy instead of the shared cell and charges only the
+     pointer and era reads, plus the store when the era moved (DESIGN.md
+     §15 "Robust Hyaline reader path"). *)
+  let rec era_attempt t sid read access =
     let v = read () in
     let alloc = R.Atomic.get t.era in
     if access >= alloc then v
     else begin
-      R.Atomic.set slot.access alloc;
-      era_attempt t slot read alloc
+      R.Atomic.set t.slots.(sid).access alloc;
+      t.access_copy.(sid) <- alloc;
+      era_attempt t sid read alloc
     end
 
   (* The handshake's [touch]: [access] has two writers (the owner and any
@@ -276,9 +285,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
   let protect t g ~idx:_ ~read ~target:_ =
     match F.reader with
     | Plain -> read ()
-    | Eras ->
-        let slot = t.slots.(g.sid) in
-        era_attempt t slot read (R.Atomic.get slot.access)
+    | Eras -> era_attempt t g.sid read t.access_copy.(g.sid)
     | Handshake { fast_tries; validate_help } ->
         let slot = t.slots.(g.sid) in
         fast_attempt t slot read ~validate_help fast_tries
@@ -353,6 +360,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
                 request =
                   (if handshake then Some (R.Atomic.make Idle) else None);
               });
+        access_copy = Array.make cfg.max_threads 0;
         idle;
         era = R.Atomic.make 0;
         alloc_clock = Stdlib.Atomic.make 0;

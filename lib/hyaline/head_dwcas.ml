@@ -37,7 +37,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
         hptr = (if last then None else seen.hptr);
       }
     in
-    if R.Atomic.compare_and_set head seen desired then
-      `Left (last && Option.is_some seen.hptr)
-    else `Fail
+    if not (R.Atomic.compare_and_set head seen desired) then `Fail
+    else if last && Option.is_some seen.hptr then `Detached
+    else `Left
 end

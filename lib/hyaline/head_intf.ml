@@ -39,12 +39,14 @@ module type HEAD_OPS = sig
       the tuple still equals [seen] ([HRef] unchanged). Fig. 3 line 38 /
       Fig. 7 [dwCAS_Ptr]. *)
 
-  val try_leave : 'n t -> seen:'n view -> [ `Fail | `Left of bool ]
+  val try_leave : 'n t -> seen:'n view -> [ `Fail | `Left | `Detached ]
   (** One attempt to decrement [HRef] from [seen]; when [seen.href = 1] the
       final reference also detaches the list ([HPtr := None]).
-      [`Left detached] reports whether this call detached a non-empty list —
-      if so the caller owes the detached head its predecessor-style [Adjs]
-      adjustment (Fig. 3 lines 16–17). Under LL/SC the decrement and the
-      detach are two SCs and the detach can be benignly lost to a concurrent
-      [enter_faa] (§4.4), in which case [`Left false] is returned. *)
+      [`Detached] reports that this call detached a non-empty list — the
+      caller then owes the detached head its predecessor-style [Adjs]
+      adjustment (Fig. 3 lines 16–17); [`Left] is a plain decrement. The
+      results are constant tags, so a leave allocates no result box. Under
+      LL/SC the decrement and the detach are two SCs and the detach can be
+      benignly lost to a concurrent [enter_faa] (§4.4), in which case
+      [`Left] is returned. *)
 end

@@ -83,8 +83,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
           then true
           else detach ()
         in
-        `Left (detach ())
+        if detach () then `Detached else `Left
       end
-      else `Left false
+      else `Left
     else `Fail
 end

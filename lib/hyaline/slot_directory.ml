@@ -37,17 +37,13 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   let k t = R.Atomic.get t.k
 
-  (* Entry index and offset for slot [i]. *)
-  let locate t i =
-    if i < t.kmin then (0, i)
-    else begin
-      let s = Batch.log2 (i / t.kmin) + 1 in
-      let base = (1 lsl (s - 1)) * t.kmin in
-      (s, i - base)
-    end
-
+  (* Entry index [s] and offset for slot [i], computed in place rather
+     than returned as a pair: [get] runs on every [enter] and per slot on
+     every sealed batch, and without flambda a returned tuple is
+     allocated. *)
   let get t i =
-    let s, off = locate t i in
+    let s = if i < t.kmin then 0 else Batch.log2 (i / t.kmin) + 1 in
+    let off = if s = 0 then i else i - ((1 lsl (s - 1)) * t.kmin) in
     match R.Atomic.get t.entries.(s) with
     | Some block -> block.(off)
     | None -> invalid_arg "Slot_directory.get: slot beyond current k"

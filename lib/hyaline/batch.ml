@@ -1,4 +1,5 @@
-(** Batches of retired nodes and the [Adjs] modular arithmetic (§3.2).
+(** Batches of retired nodes, the [Adjs] modular arithmetic (§3.2), and
+    the retire front-end both Hyaline engines share ({!Make.front}).
 
     A batch groups [>= k + 1] retired nodes under a single reference
     counter [NRef]. The paper stores [NRef] in a dedicated node and links
@@ -189,4 +190,225 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   let adjust ~counters n v =
     let b = batch_of n in
     if R.Atomic.fetch_and_add b.nref v = -v then free_batch ~counters b
+
+  (** {2 The retire front-end}
+
+      The retire side both engines share (DESIGN.md §15 "One retire
+      front-end"). An engine keeps its slot type, enter, leave, trim,
+      protect and batch insertion, and supplies four hooks at [create]:
+      the slot count [k] ([slots]), the per-batch Adjs ([adjs]), insertion
+      ([insert]) and the step run just before the era advances
+      ([before_tick]). [slots] may be a charged read, so each entry point
+      reads it once and hands that [k] on to the seal and the insertion. *)
+  type 'a front = {
+    cfg : Smr.Smr_intf.config;
+    counters : Smr.Lifecycle.counters;
+    (* Thread-lifecycle bookkeeping only (§2.4 transparency): join/leave
+       never touch a simulated cell. The registry recycles the dense
+       indices of the per-thread pending-batch array. *)
+    reg : Smr.Slot_registry.t;
+    era : int R.Atomic.t;  (* AllocEra *)
+    alloc_clock : int Stdlib.Atomic.t;
+    pending : 'a pending array;  (* per-thread batch under construction *)
+    pool : 'a pool;  (* recycled batch records *)
+    mutable on_pressure : unit -> unit;
+        (* [relieve_pressure f], built once: no closure per allocation *)
+    scheme : string;
+    robust : bool;  (* birth eras on allocation (§4.2) *)
+    adjs : int -> int;
+    mutable slots : unit -> int;
+    mutable insert : 'a batch -> int -> unit;
+    mutable before_tick : unit -> unit;
+    (* Metrics (plain atomics, invisible to the cost model). *)
+    m_sealed : Smr.Metrics.Counter.t;
+    m_sealed_nodes : Smr.Metrics.Counter.t;
+    m_trims : Smr.Metrics.Counter.t;
+    m_insert_retries : Smr.Metrics.Counter.t;
+  }
+
+  (* The Ack cell of an engine that keeps none: a sentinel like {!nil},
+     compared physically and never debited. A real cell would take a
+     simulator cell id and shift every later one. *)
+  let no_ack : int R.Atomic.t = Obj.magic 0
+
+  (* Fig. 3 traverse, plus the Fig. 5 ack decrement for the robust
+     multi-slot flavour ([ack] is the slot's Ack, else {!no_ack}).
+     Decrements every node from [first] through [handle] inclusive;
+     batches whose NRef reaches zero are freed afterwards, in FIFO order
+     (§4.1's deferred deallocation). *)
+  (* Ack debits must equal the credits this thread accumulated (+1 per
+     batch inserted during its presence, Fig. 5 line 16). The current
+     first node is decremented through the HRef CAS, never visited here,
+     so its debit is carried by the handle node when the traversal ends
+     there — and by the list end when it runs off a Null instead (the
+     thread entered on an empty or since-detached list). Counting visited
+     nodes plus one for a Null terminator makes every slot's Ack sum to
+     exactly the unacknowledged references of its stalled occupants.
+     [to_free] holds zero-NRef batches in reverse detection order. The
+     walk ends in [finish] rather than returning [(count, to_free)]: a
+     returned pair is allocated per traverse. *)
+  let rec walk f ack count to_free curr handle =
+    if is_nil curr then finish f ack (count + 1) to_free
+    else begin
+      Smr.Lifecycle.check_not_freed ~scheme:f.scheme ~what:"traverse"
+        curr.state;
+      let next = R.Atomic.get curr.next in
+      let b = batch_of curr in
+      let to_free =
+        if R.Atomic.fetch_and_add b.nref (-1) = 1 then b :: to_free
+        else to_free
+      in
+      if same_node curr handle then finish f ack (count + 1) to_free
+      else walk f ack (count + 1) to_free next handle
+    end
+
+  and finish f ack count to_free =
+    if ack != no_ack then ignore (R.Atomic.fetch_and_add ack (-count));
+    List.iter (free_batch ~counters:f.counters) (List.rev to_free)
+
+  let traverse f ~ack first handle = walk f ack 0 [] first handle
+
+  let seal_pending (f : 'a front) (p : 'a pending) ~k =
+    Smr.Metrics.Counter.incr f.m_sealed;
+    Smr.Metrics.Counter.add f.m_sealed_nodes p.len;
+    (* [seal] copies the buffer out before the reset below, and neither
+       touches a cost point, so no concurrent retire can interleave on the
+       cooperative runtime. *)
+    let b =
+      seal ~counters:f.counters ~pool:f.pool ~k ~adjs:(f.adjs k) p.buf p.len
+    in
+    p.len <- 0;
+    f.insert b k
+
+  (* Budget relief (DESIGN.md §9): seal the calling thread's own pending
+     batch early, if it already holds the mandatory k+1 nodes — insertion
+     lets every inactive slot skip it and frees whatever is unreferenced.
+     Never pads with dummy nodes: that would recurse into the allocator
+     under the very pressure we are relieving. *)
+  let relieve_pressure f () =
+    let p = f.pending.(Smr.Slot_registry.ensure f.reg ~tid:(R.self ())) in
+    let k = f.slots () in
+    if p.len > k then seal_pending f p ~k
+
+  (* [slots], [insert] and [before_tick] start as placeholders: the
+     engine's [create] sets them once it has built the slots they read.
+     The front comes first so that its era cell takes the simulator cell
+     id it always had, ahead of the slots' cells. *)
+  let make_front ~scheme ~robust ~adjs (cfg : Smr.Smr_intf.config) =
+    let f =
+      {
+        cfg;
+        counters =
+          Smr.Lifecycle.make_counters ~mem:(Smr.Smr_intf.mem_config cfg) ();
+        reg = Smr.Slot_registry.create ~capacity:cfg.max_threads;
+        era = R.Atomic.make 0;
+        alloc_clock = Stdlib.Atomic.make 0;
+        pending = Array.init cfg.max_threads (fun _ -> make_pending ());
+        pool = make_pool ();
+        on_pressure = ignore;
+        scheme;
+        robust;
+        adjs;
+        slots = (fun () -> 0);
+        insert = (fun _ _ -> ());
+        before_tick = ignore;
+        m_sealed = Smr.Metrics.Counter.make "batches_sealed";
+        m_sealed_nodes = Smr.Metrics.Counter.make "batch_nodes_sealed";
+        m_trims = Smr.Metrics.Counter.make "trims";
+        m_insert_retries = Smr.Metrics.Counter.make "insert_cas_retries";
+      }
+    in
+    f.on_pressure <- relieve_pressure f;
+    f
+
+  let alloc ?bytes f payload =
+    let mem_bytes =
+      node_overhead_bytes
+      + Option.value bytes ~default:f.cfg.Smr.Smr_intf.node_bytes
+    in
+    R.alloc_point ~bytes:mem_bytes;
+    let birth =
+      if f.robust then begin
+        (* Fig. 5 init_node; the allocation counter is global rather than
+           per-thread — only the bump frequency matters (cf. Ebr). *)
+        let c = Stdlib.Atomic.fetch_and_add f.alloc_clock 1 in
+        if c mod f.cfg.era_freq = f.cfg.era_freq - 1 then begin
+          f.before_tick ();
+          R.Atomic.incr f.era
+        end;
+        R.Atomic.get f.era
+      end
+      else 0
+    in
+    make_node ~bytes:mem_bytes ~relieve:f.on_pressure ~scheme:f.scheme
+      ~counters:f.counters ~birth payload
+
+  let retire f sid n =
+    Smr.Lifecycle.on_retire ~tally:false ~scheme:f.scheme n.state f.counters;
+    let p = f.pending.(sid) in
+    push_pending p n;
+    let k = f.slots () in
+    if p.len >= max f.cfg.batch_size (k + 1) then seal_pending f p ~k
+
+  (* Mid-run reclaimer entry point: seal every pending batch that already
+     holds the mandatory k+1 nodes, across all slots — [relieve_pressure]
+     for every thread. Allocation-free; a batch still short of k+1 is left
+     to fill, never padded. *)
+  let relieve f =
+    let k = f.slots () in
+    for sid = 0 to f.cfg.max_threads - 1 do
+      let p = f.pending.(sid) in
+      if p.len > k then seal_pending f p ~k
+    done
+
+  (* Finalize partial batches by padding with dummy nodes (§2.4: "they can
+     be immediately finalized by allocating a finite number of dummy
+     nodes"). Dummies run through the normal lifecycle so the books stay
+     balanced. Only sound at quiescence. Every slot ever used, live or
+     not: a departed thread's pending batch stays behind for recycling
+     and must still be drained at teardown. *)
+  let flush f =
+    let k = f.slots () in
+    let needed = max f.cfg.batch_size (k + 1) in
+    for sid = 0 to f.cfg.max_threads - 1 do
+      let p = f.pending.(sid) in
+      if p.len > 0 then begin
+        let sample = p.buf.(p.len - 1).payload in
+        while p.len < needed do
+          let d = alloc f sample in
+          Smr.Lifecycle.on_retire ~tally:false ~scheme:f.scheme d.state
+            f.counters;
+          push_pending p d
+        done;
+        seal_pending f p ~k
+      end
+    done
+
+  (* The paper's transparency claim (§2.4), machine-checked by the churn
+     experiment: joining and leaving are free — no reservation cells to
+     publish or clear, no final scan, no limbo to orphan (a departing
+     thread's unsealed pending batch simply stays with its recycled index
+     for the next occupant, and is drained by [flush] at teardown). *)
+  let register ?tid f =
+    let tid = match tid with Some tid -> tid | None -> R.self () in
+    Smr.Slot_registry.register f.reg ~tid
+
+  let deregister f s = Smr.Slot_registry.release f.reg s
+
+  let data ~scheme n =
+    Smr.Lifecycle.check_not_freed ~scheme ~what:"data" n.state;
+    n.payload
+
+  let stats f = Smr.Lifecycle.stats f.counters
+
+  (* The common batch series, then the engine's [extra] ones, then the
+     registry's. *)
+  let metrics f extra =
+    Smr.Lifecycle.snapshot ~scheme:f.scheme
+      ~series:
+        (Smr.Metrics.series_of
+           ([ f.m_sealed; f.m_sealed_nodes; f.m_trims; f.m_insert_retries ]
+           @ extra)
+        @ Smr.Slot_registry.series f.reg)
+      f.counters
 end

@@ -3,8 +3,10 @@
     robust "-S" §4.2 with birth eras, per-slot access eras, acks and
     optional adaptive slot resizing §4.3).
 
-    Instantiated as [Hyaline], [Hyaline_s] and their LL/SC twins in
-    {!Variants}.
+    Instantiated as Hyaline, Hyaline-S and their LL/SC twins in {!Hyaline}
+    and {!Hyaline_s}. The retire side lives in {!Batch.Make}'s front-end,
+    shared with the single-slot engine; this engine adds its directory's
+    [k], the per-batch [Adjs] and the Fig. 3 insertion.
 
     Hot-path layout (DESIGN.md §15): slot-list links and guard handles are
     plain nodes with {!Batch.Make.nil} standing in for "no node" — the head
@@ -38,26 +40,9 @@ struct
   }
 
   type 'a t = {
-    cfg : Smr.Smr_intf.config;
-    counters : Smr.Lifecycle.counters;
-    (* Thread-lifecycle bookkeeping only (§2.4 transparency): join/leave
-       never touch a simulated cell. The registry recycles the dense
-       indices of the per-thread pending-batch array; the slot directory
-       below is the paper's k-slot structure and is unrelated. *)
-    reg : Smr.Slot_registry.t;
-    dir : 'a slot Dir.t;
-    era : int R.Atomic.t;  (* AllocEra *)
-    alloc_clock : int Stdlib.Atomic.t;
-    pending : 'a B.pending array;  (* per-thread batch under construction *)
-    pool : 'a B.pool;  (* recycled batch records *)
-    mutable on_pressure : unit -> unit;
-        (* [relieve_pressure t], built once at create so the allocation
-           path does not close over [t] per node *)
+    front : 'a B.front;
+    dir : 'a slot Dir.t;  (* the paper's k slots, not the registry's *)
     (* Metrics (plain atomics, invisible to the cost model). *)
-    m_sealed : Smr.Metrics.Counter.t;
-    m_sealed_nodes : Smr.Metrics.Counter.t;
-    m_trims : Smr.Metrics.Counter.t;
-    m_insert_retries : Smr.Metrics.Counter.t;
     m_leave_retries : Smr.Metrics.Counter.t;
     m_slot_grows : Smr.Metrics.Counter.t;
   }
@@ -81,18 +66,16 @@ struct
 
   let current_slots t = Dir.k t.dir
 
-  let data (n : 'a node) =
-    Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"data" n.state;
-    n.payload
+  let data (n : 'a node) = B.data ~scheme:F.scheme_name n
 
   (* Fig. 5 enter: probe for a slot not poisoned by stalled threads; when
      all k slots are saturated either grow the directory (§4.3) or fall
      back to the starting slot (the capped behaviour of Fig. 10a). *)
   let rec probe_slot t start i tried k =
     let s = Dir.get t.dir i in
-    if R.Atomic.get s.ack < t.cfg.ack_threshold then i
+    if R.Atomic.get s.ack < t.front.cfg.ack_threshold then i
     else if tried + 1 < k then probe_slot t start ((i + 1) mod k) (tried + 1) k
-    else if t.cfg.adaptive then begin
+    else if t.front.cfg.adaptive then begin
       Dir.grow t.dir ~from:k;
       let k' = Dir.k t.dir in
       if k' > k then begin
@@ -109,56 +92,19 @@ struct
     if not F.robust then start
     else probe_slot t start start 0 k
 
-  (* Free join/leave, as in the single-slot engine: a departing thread's
-     unsealed pending batch stays with its recycled index and is drained
-     by [flush] at teardown. *)
-  let register ?tid t =
-    let tid = match tid with Some tid -> tid | None -> R.self () in
-    Smr.Slot_registry.register t.reg ~tid
-
-  let deregister t s = Smr.Slot_registry.release t.reg s
+  let register ?tid t = B.register ?tid t.front
+  let deregister t s = B.deregister t.front s
 
   let enter t =
-    let sid = Smr.Slot_registry.ensure t.reg ~tid:(R.self ()) in
+    let sid = Smr.Slot_registry.ensure t.front.reg ~tid:(R.self ()) in
     let slot_idx = choose_slot t sid in
     let slot = Dir.get t.dir slot_idx in
     let seen = H.enter_faa slot.head in
     { sid; slot; slot_idx; handle = B.of_opt seen.hptr; access_seen = -1 }
 
-  (* Fig. 3 traverse, plus the Fig. 5 ack decrement for the robust flavour.
-     Decrements every node from [first] through [handle] inclusive; batches
-     whose NRef reaches zero are freed afterwards, in FIFO order (§4.1's
-     deferred deallocation). *)
-  (* Ack debits must equal the credits this thread accumulated (+1 per
-     batch inserted during its presence, Fig. 5 line 16). The current
-     first node is decremented through the HRef CAS, never visited here,
-     so its debit is carried by the handle node when the traversal ends
-     there — and by the list end when it runs off a Null instead (the
-     thread entered on an empty or since-detached list). Counting visited
-     nodes plus one for a Null terminator makes every slot's Ack sum to
-     exactly the unacknowledged references of its stalled occupants.
-     Returns [(count, to_free)]; the list holds zero-NRef batches in
-     reverse detection order. *)
-  let rec traverse_go count to_free curr handle =
-    if B.is_nil curr then (count + 1, to_free)
-    else begin
-      Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"traverse"
-        curr.B.state;
-      let next = R.Atomic.get curr.B.next in
-      let b = B.batch_of curr in
-      let to_free =
-        if R.Atomic.fetch_and_add b.nref (-1) = 1 then b :: to_free
-        else to_free
-      in
-      if B.same_node curr handle then (count + 1, to_free)
-      else traverse_go (count + 1) to_free next handle
-    end
-
   let traverse t slot first handle =
-    let count, to_free = traverse_go 0 [] first handle in
-    if F.robust && count > 0 then
-      ignore (R.Atomic.fetch_and_add slot.ack (-count));
-    List.iter (B.free_batch ~counters:t.counters) (List.rev to_free)
+    B.traverse t.front ~ack:(if F.robust then slot.ack else B.no_ack) first
+      handle
 
   (* Fig. 3 leave. *)
   let rec leave_attempt t slot handle =
@@ -178,7 +124,7 @@ struct
            predecessor and grant it its slot's Adjs (Fig. 3 lines 16-17,
            with the per-batch Adjs of §4.3). *)
         if not (B.is_nil curr) then
-          B.adjust ~counters:t.counters curr (B.batch_of curr).adjs;
+          B.adjust ~counters:t.front.counters curr (B.batch_of curr).adjs;
         if fresh then traverse t slot next handle
     | `Left -> if fresh then traverse t slot next handle
 
@@ -187,7 +133,7 @@ struct
   (* Fig. 3 trim: dereference everything retired since the handle without
      altering Head; the current first node becomes the new handle. *)
   let trim t g =
-    Smr.Metrics.Counter.incr t.m_trims;
+    Smr.Metrics.Counter.incr t.front.m_trims;
     let seen = H.load g.slot.head in
     let curr = B.of_opt seen.hptr in
     if not (B.same_node curr g.handle) then begin
@@ -214,7 +160,7 @@ struct
      (DESIGN.md §15 "Robust Hyaline reader path"). *)
   let rec protect_attempt t g read access =
     let v = read () in
-    let alloc = R.Atomic.get t.era in
+    let alloc = R.Atomic.get t.front.era in
     if access >= alloc then begin
       g.access_seen <- access;
       v
@@ -249,13 +195,13 @@ struct
            plus the HRef snapshot. *)
         (match seen.hptr with
         | Some pred ->
-            B.adjust ~counters:t.counters pred
+            B.adjust ~counters:t.front.counters pred
               ((B.batch_of pred).adjs + seen.href)
         | None -> ());
         true
       end
       else begin
-        Smr.Metrics.Counter.incr t.m_insert_retries;
+        Smr.Metrics.Counter.incr t.front.m_insert_retries;
         insert_attempt t b slot cursor
       end
     end
@@ -276,132 +222,32 @@ struct
        when every slot was empty, [empty = k × Adjs ≡ 0] and the FAA frees
        the batch immediately — no thread can reference it. *)
     if !skipped_any then
-      B.adjust ~counters:t.counters b.nodes.(0) !empty
-
-  let seal_pending t (p : 'a B.pending) ~k =
-    Smr.Metrics.Counter.incr t.m_sealed;
-    Smr.Metrics.Counter.add t.m_sealed_nodes p.len;
-    (* [B.seal] copies the buffer out before the reset below, and neither
-       touches a cost point, so no concurrent retire can interleave on the
-       cooperative runtime. *)
-    let b =
-      B.seal ~counters:t.counters ~pool:t.pool ~k ~adjs:(Batch.adjs k) p.buf
-        p.len
-    in
-    p.len <- 0;
-    retire_batch t ~k b
-
-  (* Budget relief (DESIGN.md §9): seal the calling thread's own pending
-     batch early, if it already holds the mandatory k+1 nodes — insertion
-     lets every inactive slot skip it and frees whatever is unreferenced.
-     Never pads with dummy nodes: that would recurse into the allocator
-     under the very pressure we are relieving. *)
-  let relieve_pressure t () =
-    let sid = Smr.Slot_registry.ensure t.reg ~tid:(R.self ()) in
-    let k = Dir.k t.dir in
-    let p = t.pending.(sid) in
-    if p.len > k then seal_pending t p ~k
+      B.adjust ~counters:t.front.counters b.nodes.(0) !empty
 
   let create (cfg : Smr.Smr_intf.config) =
+    let front =
+      B.make_front ~scheme:F.scheme_name ~robust:F.robust ~adjs:Batch.adjs cfg
+    in
     let t =
       {
-        cfg;
-        counters =
-          Smr.Lifecycle.make_counters ~mem:(Smr.Smr_intf.mem_config cfg) ();
-        reg = Smr.Slot_registry.create ~capacity:cfg.max_threads;
+        front;
         dir = Dir.create ~kmin:(next_pow2 cfg.slots) ~make_slot;
-        era = R.Atomic.make 0;
-        alloc_clock = Stdlib.Atomic.make 0;
-        pending = Array.init cfg.max_threads (fun _ -> B.make_pending ());
-        pool = B.make_pool ();
-        on_pressure = ignore;
-        m_sealed = Smr.Metrics.Counter.make "batches_sealed";
-        m_sealed_nodes = Smr.Metrics.Counter.make "batch_nodes_sealed";
-        m_trims = Smr.Metrics.Counter.make "trims";
-        m_insert_retries = Smr.Metrics.Counter.make "insert_cas_retries";
         m_leave_retries = Smr.Metrics.Counter.make "leave_cas_retries";
         m_slot_grows = Smr.Metrics.Counter.make "slot_grows";
       }
     in
-    t.on_pressure <- relieve_pressure t;
+    front.slots <- (fun () -> Dir.k t.dir);
+    front.insert <- (fun b k -> retire_batch t ~k b);
     t
 
-  let alloc ?bytes t payload =
-    let mem_bytes =
-      B.node_overhead_bytes
-      + Option.value bytes ~default:t.cfg.Smr.Smr_intf.node_bytes
-    in
-    R.alloc_point ~bytes:mem_bytes;
-    let birth =
-      if F.robust then begin
-        (* Fig. 5 init_node; the allocation counter is global rather than
-           per-thread — only the bump frequency matters (cf. Ebr). *)
-        let c = Stdlib.Atomic.fetch_and_add t.alloc_clock 1 in
-        if c mod t.cfg.era_freq = t.cfg.era_freq - 1 then R.Atomic.incr t.era;
-        R.Atomic.get t.era
-      end
-      else 0
-    in
-    B.make_node ~bytes:mem_bytes ~relieve:t.on_pressure
-      ~scheme:F.scheme_name ~counters:t.counters ~birth payload
+  let alloc ?bytes t payload = B.alloc ?bytes t.front payload
+  let retire t g n = B.retire t.front g.sid n
+  let relieve t = B.relieve t.front
+  let flush t = B.flush t.front
 
-  let retire t g n =
-    Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name n.B.state
-      t.counters;
-    let p = t.pending.(g.sid) in
-    B.push_pending p n;
-    let k = Dir.k t.dir in
-    if p.len >= max t.cfg.batch_size (k + 1) then seal_pending t p ~k
-
-  (* Mid-run reclaimer entry point: seal every pending batch that already
-     holds the mandatory k+1 nodes, across all slots — [relieve_pressure]
-     for the whole directory. Allocation-free; a batch still short of k+1
-     is left to fill, never padded. *)
-  let relieve t =
-    let k = Dir.k t.dir in
-    for sid = 0 to t.cfg.max_threads - 1 do
-      let p = t.pending.(sid) in
-      if p.len > k then seal_pending t p ~k
-    done
-
-  (* Finalize partial batches by padding with dummy nodes (§2.4: "they can
-     be immediately finalized by allocating a finite number of dummy
-     nodes"). Dummies run through the normal lifecycle so the books stay
-     balanced. Only sound at quiescence. *)
-  let flush t =
-    let k = Dir.k t.dir in
-    let needed = max t.cfg.batch_size (k + 1) in
-    for sid = 0 to t.cfg.max_threads - 1 do
-      let p = t.pending.(sid) in
-      if p.len > 0 then begin
-        let sample = p.buf.(p.len - 1).B.payload in
-        while p.len < needed do
-          let d = alloc t sample in
-          Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name
-            d.B.state t.counters;
-          B.push_pending p d
-        done;
-        seal_pending t p ~k
-      end
-    done
-
-  (* Hyaline realises refresh as trim (�3.3). *)
+  (* Hyaline realises refresh as trim (§3.3). *)
   let refresh = trim
 
-  let stats t = Smr.Lifecycle.stats t.counters
-
-  let metrics t =
-    Smr.Lifecycle.snapshot ~scheme:F.scheme_name
-      ~series:
-        (Smr.Metrics.series_of
-           [
-             t.m_sealed;
-             t.m_sealed_nodes;
-             t.m_trims;
-             t.m_insert_retries;
-             t.m_leave_retries;
-             t.m_slot_grows;
-           ]
-        @ Smr.Slot_registry.series t.reg)
-      t.counters
+  let stats t = B.stats t.front
+  let metrics t = B.metrics t.front [ t.m_leave_retries; t.m_slot_grows ]
 end

@@ -5,8 +5,9 @@
     and a swap), predecessors are never adjusted, and a batch's NRef is
     simply the number of slots it was inserted into.
 
-    The retire/seal/traverse side is shared by all four instances; only
-    the reader protocol differs, selected by the flavour's {!reader}:
+    The retire side lives in {!Batch.Make}'s front-end, shared with the
+    multi-slot engine; only the reader protocol differs among the four
+    instances, selected by the flavour's {!reader}:
 
     - [Plain] — Hyaline-1: no eras, [protect] is the bare read.
     - [Eras] — Hyaline-1S (§4.2, Fig. 5) and Crystalline-L
@@ -101,28 +102,13 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
   }
 
   type 'a t = {
-    cfg : Smr.Smr_intf.config;
-    counters : Smr.Lifecycle.counters;
-    (* Thread-lifecycle bookkeeping only: Hyaline needs no per-thread
-       registration work (§2.4), so join/leave never touch a simulated
-       cell — the transparency the churn experiment measures as a zero
-       cost delta. The registry just recycles dense slot indices. *)
-    reg : Smr.Slot_registry.t;
+    front : 'a B.front;
     slots : 'a slot array;  (* one per registered thread; k = max_threads *)
     access_copy : int array;
         (* [Eras]: the owner's plain copy of its slot's [access], the
            value it last stored there *)
     idle : 'a word;  (* the shared inactive word, per instance *)
-    era : int R.Atomic.t;
-    alloc_clock : int Stdlib.Atomic.t;
-    pending : 'a B.pending array;
-    pool : 'a B.pool;  (* recycled batch records *)
-    mutable on_pressure : unit -> unit;
     (* Metrics (plain atomics, invisible to the cost model). *)
-    m_sealed : Smr.Metrics.Counter.t;
-    m_sealed_nodes : Smr.Metrics.Counter.t;
-    m_trims : Smr.Metrics.Counter.t;
-    m_insert_retries : Smr.Metrics.Counter.t;
     m_fast_retries : Smr.Metrics.Counter.t;
     m_slow_paths : Smr.Metrics.Counter.t;
     m_help_deposits : Smr.Metrics.Counter.t;
@@ -133,20 +119,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
 
   let current_slots t = Array.length t.slots
 
-  let data (n : 'a node) =
-    Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"data" n.state;
-    n.payload
-
-  (* The paper's transparency claim (§2.4), machine-checked by the churn
-     experiment: joining and leaving are free — no reservation cells to
-     publish or clear, no final scan, no limbo to orphan (a departing
-     thread's unsealed pending batch simply stays with the slot for its
-     next occupant, and is drained by [flush] at teardown). *)
-  let register ?tid t =
-    let tid = match tid with Some tid -> tid | None -> R.self () in
-    Smr.Slot_registry.register t.reg ~tid
-
-  let deregister t s = Smr.Slot_registry.release t.reg s
+  let data (n : 'a node) = B.data ~scheme:F.scheme_name n
+  let register ?tid t = B.register ?tid t.front
+  let deregister t s = B.deregister t.front s
 
   (* Fig. 4 enter: a wait-free store. The slot necessarily reads the idle
      word here — the previous leave swapped it out (and a recycled slot's
@@ -154,7 +129,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
      request a killed previous occupant left armed, so stale thunks
      cannot outlive the slot's recycling. *)
   let enter t =
-    let sid = Smr.Slot_registry.ensure t.reg ~tid:(R.self ()) in
+    let sid = Smr.Slot_registry.ensure t.front.reg ~tid:(R.self ()) in
     let slot = t.slots.(sid) in
     (match slot.request with
     | Some r -> (
@@ -164,26 +139,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
     { sid; handle = B.nil () }
 
   (* Decrement every batch in the detached list once (this thread owned the
-     only reference this slot contributed); free on zero, FIFO-deferred. *)
-  let rec traverse_go to_free curr handle =
-    if B.is_nil curr then to_free
-    else begin
-      Smr.Lifecycle.check_not_freed ~scheme:F.scheme_name ~what:"traverse"
-        curr.B.state;
-      let next = R.Atomic.get curr.B.next in
-      let b = B.batch_of curr in
-      let to_free =
-        if R.Atomic.fetch_and_add b.nref (-1) = 1 then b :: to_free
-        else to_free
-      in
-      if B.same_node curr handle then to_free
-      else traverse_go to_free next handle
-    end
-
-  let traverse t first handle =
-    List.iter
-      (B.free_batch ~counters:t.counters)
-      (List.rev (traverse_go [] first handle))
+     only reference this slot contributed); free on zero, FIFO-deferred.
+     No Ack to debit, even for the robust flavours. *)
+  let traverse t first handle = B.traverse t.front ~ack:B.no_ack first handle
 
   (* Fig. 4 leave: a wait-free swap detaching the whole list. *)
   let leave t g =
@@ -192,7 +150,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
 
   (* leave + enter fused, keeping the active bit set throughout. *)
   let trim t g =
-    Smr.Metrics.Counter.incr t.m_trims;
+    Smr.Metrics.Counter.incr t.front.m_trims;
     let slot = t.slots.(g.sid) in
     let old =
       R.Atomic.exchange slot.head { active = true; hptr = B.nil () }
@@ -208,7 +166,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
      §15 "Robust Hyaline reader path"). *)
   let rec era_attempt t sid read access =
     let v = read () in
-    let alloc = R.Atomic.get t.era in
+    let alloc = R.Atomic.get t.front.era in
     if access >= alloc then v
     else begin
       R.Atomic.set t.slots.(sid).access alloc;
@@ -240,10 +198,10 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
          killed-reader memory bound. *)
       if Option.is_none (R.Atomic.get result) then
         if validate_help then begin
-          let e_h = R.Atomic.get t.era in
+          let e_h = R.Atomic.get t.front.era in
           touch slot.access e_h;
           let v = read () in
-          if R.Atomic.get t.era = e_h then
+          if R.Atomic.get t.front.era = e_h then
             if R.Atomic.compare_and_set result None (Some v) then
               Smr.Metrics.Counter.incr t.m_help_deposits
         end
@@ -252,10 +210,10 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
     in
     R.Atomic.set request (Seeking run_help);
     let rec arm () =
-      let e = R.Atomic.get t.era in
+      let e = R.Atomic.get t.front.era in
       touch slot.access e;
       let v = read () in
-      if R.Atomic.get t.era = e then begin
+      if R.Atomic.get t.front.era = e then begin
         R.Atomic.set request Idle;
         v
       end
@@ -273,7 +231,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
      read goes to the slow path as [stale]. *)
   let rec fast_attempt t slot read ~validate_help tries access =
     let v = read () in
-    let alloc = R.Atomic.get t.era in
+    let alloc = R.Atomic.get t.front.era in
     if access >= alloc then v
     else if tries <= 0 then slow t slot ~validate_help ~read ~stale:v
     else begin
@@ -305,7 +263,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
       if R.Atomic.compare_and_set slot.head seen { active = true; hptr = node }
       then true
       else begin
-        Smr.Metrics.Counter.incr t.m_insert_retries;
+        Smr.Metrics.Counter.incr t.front.m_insert_retries;
         insert_attempt t b slot cursor
       end
     end
@@ -315,43 +273,35 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
     let inserts = ref 0 in
     (* Live (registered) slots only, in ascending slot order: retire cost
        tracks the number of threads actually present, not the capacity. *)
-    Smr.Slot_registry.iter_live t.reg (fun i ->
+    Smr.Slot_registry.iter_live t.front.reg (fun i ->
         if insert_attempt t b t.slots.(i) !cursor then begin
           incr cursor;
           incr inserts
         end);
     (* When [inserts = 0] no slot was active and the FAA finds NRef at 0,
        freeing the batch on the spot. *)
-    if R.Atomic.fetch_and_add b.nref !inserts = - !inserts then
-      B.free_batch ~counters:t.counters b
+    B.adjust ~counters:t.front.counters b.nodes.(0) !inserts
 
-  let effective_batch t = max t.cfg.batch_size (Array.length t.slots + 1)
-
-  let seal_pending t (p : 'a B.pending) =
-    Smr.Metrics.Counter.incr t.m_sealed;
-    Smr.Metrics.Counter.add t.m_sealed_nodes p.len;
-    let b =
-      B.seal ~counters:t.counters ~pool:t.pool ~k:(Array.length t.slots)
-        ~adjs:0 p.buf p.len
-    in
-    p.len <- 0;
-    retire_batch t b
-
-  (* Budget relief: seal this thread's own pending batch early, if it is
-     already long enough to be a valid batch (> k nodes). Never pads with
-     dummy allocations — that would spend the very bytes we lack. *)
-  let relieve_pressure t () =
-    let p = t.pending.(Smr.Slot_registry.ensure t.reg ~tid:(R.self ())) in
-    if p.len > Array.length t.slots then seal_pending t p
+  (* Run every published request before advancing the era: completing the
+     seekers is part of the advance, which is what makes the advance
+     harmless to them. *)
+  let help_pending t =
+    Smr.Slot_registry.iter_live t.front.reg (fun i ->
+        match t.slots.(i).request with
+        | Some r -> (
+            match R.Atomic.get r with
+            | Idle -> ()
+            | Seeking run_help -> run_help ())
+        | None -> ())
 
   let create (cfg : Smr.Smr_intf.config) =
     let idle = { active = false; hptr = B.nil () } in
+    let front =
+      B.make_front ~scheme:F.scheme_name ~robust ~adjs:(fun _ -> 0) cfg
+    in
     let t =
       {
-        cfg;
-        counters =
-          Smr.Lifecycle.make_counters ~mem:(Smr.Smr_intf.mem_config cfg) ();
-        reg = Smr.Slot_registry.create ~capacity:cfg.max_threads;
+        front;
         slots =
           Array.init cfg.max_threads (fun _ ->
               {
@@ -362,108 +312,30 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
               });
         access_copy = Array.make cfg.max_threads 0;
         idle;
-        era = R.Atomic.make 0;
-        alloc_clock = Stdlib.Atomic.make 0;
-        pending = Array.init cfg.max_threads (fun _ -> B.make_pending ());
-        pool = B.make_pool ();
-        on_pressure = ignore;
-        m_sealed = Smr.Metrics.Counter.make "batches_sealed";
-        m_sealed_nodes = Smr.Metrics.Counter.make "batch_nodes_sealed";
-        m_trims = Smr.Metrics.Counter.make "trims";
-        m_insert_retries = Smr.Metrics.Counter.make "insert_cas_retries";
         m_fast_retries = Smr.Metrics.Counter.make "protect_fast_retries";
         m_slow_paths = Smr.Metrics.Counter.make "protect_slow_paths";
         m_help_deposits = Smr.Metrics.Counter.make "help_deposits";
         m_adoptions = Smr.Metrics.Counter.make "help_adoptions";
       }
     in
-    t.on_pressure <- relieve_pressure t;
+    front.slots <- (fun () -> cfg.max_threads);
+    front.insert <- (fun b _ -> retire_batch t b);
+    if handshake then front.before_tick <- (fun () -> help_pending t);
     t
 
-  (* Run every published request before advancing the era: completing the
-     seekers is part of the advance, which is what makes the advance
-     harmless to them. *)
-  let help_pending t =
-    Smr.Slot_registry.iter_live t.reg (fun i ->
-        match t.slots.(i).request with
-        | Some r -> (
-            match R.Atomic.get r with
-            | Idle -> ()
-            | Seeking run_help -> run_help ())
-        | None -> ())
-
-  let alloc ?bytes t payload =
-    let mem_bytes =
-      B.node_overhead_bytes
-      + Option.value bytes ~default:t.cfg.Smr.Smr_intf.node_bytes
-    in
-    R.alloc_point ~bytes:mem_bytes;
-    let birth =
-      if robust then begin
-        let c = Stdlib.Atomic.fetch_and_add t.alloc_clock 1 in
-        if c mod t.cfg.era_freq = t.cfg.era_freq - 1 then begin
-          if handshake then help_pending t;
-          R.Atomic.incr t.era
-        end;
-        R.Atomic.get t.era
-      end
-      else 0
-    in
-    B.make_node ~bytes:mem_bytes ~relieve:t.on_pressure
-      ~scheme:F.scheme_name ~counters:t.counters ~birth payload
-
-  let retire t g n =
-    Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name n.B.state
-      t.counters;
-    let p = t.pending.(g.sid) in
-    B.push_pending p n;
-    if p.len >= effective_batch t then seal_pending t p
-
-  (* Mid-run reclaimer entry point: seal every pending batch that already
-     exceeds the slot count, across all slots — [relieve_pressure] for
-     the whole table. Allocation-free; short batches are left to fill,
-     never padded. *)
-  let relieve t =
-    let needed = Array.length t.slots in
-    for sid = 0 to t.cfg.max_threads - 1 do
-      let p = t.pending.(sid) in
-      if p.len > needed then seal_pending t p
-    done
-
-  (* Every slot ever used, live or not: a departed thread's pending batch
-     stays behind for recycling and must still be drained at teardown. *)
-  let flush t =
-    let needed = effective_batch t in
-    for sid = 0 to t.cfg.max_threads - 1 do
-      let p = t.pending.(sid) in
-      if p.len > 0 then begin
-        let sample = p.buf.(p.len - 1).B.payload in
-        while p.len < needed do
-          let d = alloc t sample in
-          Smr.Lifecycle.on_retire ~tally:false ~scheme:F.scheme_name
-            d.B.state t.counters;
-          B.push_pending p d
-        done;
-        seal_pending t p
-      end
-    done
+  let alloc ?bytes t payload = B.alloc ?bytes t.front payload
+  let retire t g n = B.retire t.front g.sid n
+  let relieve t = B.relieve t.front
+  let flush t = B.flush t.front
 
   (* Hyaline realises refresh as trim (§3.3). *)
   let refresh = trim
 
-  let stats t = Smr.Lifecycle.stats t.counters
+  let stats t = B.stats t.front
 
   let metrics t =
-    let handshake_series =
-      if handshake then
-        [ t.m_fast_retries; t.m_slow_paths; t.m_help_deposits; t.m_adoptions ]
-      else []
-    in
-    Smr.Lifecycle.snapshot ~scheme:F.scheme_name
-      ~series:
-        (Smr.Metrics.series_of
-           ([ t.m_sealed; t.m_sealed_nodes; t.m_trims; t.m_insert_retries ]
-           @ handshake_series)
-        @ Smr.Slot_registry.series t.reg)
-      t.counters
+    B.metrics t.front
+      (if handshake then
+         [ t.m_fast_retries; t.m_slow_paths; t.m_help_deposits; t.m_adoptions ]
+       else [])
 end

@@ -55,13 +55,37 @@ let contains msg sub =
 
 (* -- lifecycle round trips ------------------------------------------------ *)
 
-(* Both flavours: allocate/retire/flush on one thread reclaims
+(* Both flavours, and every other instance of the two engines that share
+   their retire side: allocate/retire/flush on one thread reclaims
    everything, and the metrics snapshot carries the Hyaline batch
    series; the handshake counters are reported by the wait-free flavour
-   alone, since only it runs the handshake. *)
+   alone, since only it runs the handshake. The full ordered series list
+   pins the shared front-end's assembly: its four batch counters, then
+   the engine's own, then the registry's. *)
+let common_series =
+  [ "batches_sealed"; "batch_nodes_sealed"; "trims"; "insert_cas_retries" ]
+
+let registry_series =
+  [ "registered"; "deregistered"; "slot_reuses"; "peak_live_slots" ]
+
+let multi_series =
+  common_series @ [ "leave_cas_retries"; "slot_grows" ] @ registry_series
+
+let single_series = common_series @ registry_series
+
+let handshake_series =
+  common_series
+  @ [
+      "protect_fast_retries";
+      "protect_slow_paths";
+      "help_deposits";
+      "help_adoptions";
+    ]
+  @ registry_series
+
 let test_lifecycle () =
   List.iter
-    (fun (name, handshake, (module S : SMR)) ->
+    (fun (name, handshake, expected, (module S : SMR)) ->
       run_solo (fun () ->
           let t = S.create (test_cfg ~threads:2) in
           let g = S.enter t in
@@ -90,10 +114,20 @@ let test_lifecycle () =
               "protect_slow_paths";
               "help_deposits";
               "help_adoptions";
-            ]))
+            ];
+          Alcotest.(check (list string))
+            (name ^ ": series names in order")
+            expected
+            (List.map fst m.Smr.Metrics.series)))
     [
-      ("crystalline-l", false, (module L : SMR));
-      ("crystalline-w", true, (module W));
+      ("crystalline-l", false, single_series, (module L : SMR));
+      ("crystalline-w", true, handshake_series, (module W));
+      ("hyaline", false, multi_series, (module Hyaline));
+      ("hyaline-llsc", false, multi_series, (module Hyaline_llsc));
+      ("hyaline-s", false, multi_series, (module Hyaline_s));
+      ("hyaline-s-llsc", false, multi_series, (module Hyaline_s_llsc));
+      ("hyaline-1", false, single_series, (module Hyaline1));
+      ("hyaline-1s", false, single_series, (module Hyaline1s));
     ]
 
 (* -- stale-pointer attribution via allocator generations ------------------ *)

@@ -122,17 +122,23 @@ let test_protect_allocates_nothing () =
       ("he", (module N_he));
       ("ibr", (module N_ibr));
       ("hyaline", (module N_hyaline));
+      ("hyaline-llsc", (module N_hyaline_llsc));
       ("hyaline-s", (module N_hyaline_s));
+      ("hyaline-1", (module N_hyaline1));
+      ("hyaline-1s", (module N_hyaline1s));
+      ("crystalline-l", (module N_crystalline_l));
+      ("crystalline-w", (module N_crystalline_w));
     ]
 
 (* An empty bracket allocates only its guard and the head records its
    CAS updates install: one thread, no retires in flight, so every minor
    word counted is [enter] and [leave] themselves — no slot-directory
-   pair, no boxed leave result. *)
+   pair, no boxed leave result. The LL/SC head installs a fresh record
+   per store-conditional, and the single-slot heads are one word each. *)
 let test_enter_leave_allocation () =
   let pairs = 10_000 in
   List.iter
-    (fun (name, (module S : SMR)) ->
+    (fun (name, bound, (module S : SMR)) ->
       Native.set_self 0;
       let t = S.create cfg in
       S.leave t (S.enter t);
@@ -142,10 +148,62 @@ let test_enter_leave_allocation () =
       done;
       let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f minor words per enter+leave <= 12" name
-           per_pair)
-        true (per_pair <= 12.))
-    [ ("hyaline", (module N_hyaline : SMR)); ("hyaline-s", (module N_hyaline_s)) ]
+        (Printf.sprintf "%s: %.2f minor words per enter+leave <= %g" name
+           per_pair bound)
+        true (per_pair <= bound))
+    [
+      ("hyaline", 12., (module N_hyaline : SMR));
+      ("hyaline-s", 12., (module N_hyaline_s));
+      ("hyaline-llsc", 15., (module N_hyaline_llsc));
+      ("hyaline-1", 6., (module N_hyaline1));
+      ("hyaline-1s", 6., (module N_hyaline1s));
+      ("crystalline-l", 6., (module N_crystalline_l));
+      ("crystalline-w", 6., (module N_crystalline_w));
+    ]
+
+(* The retire path at steady state: one thread allocating and retiring
+   8 nodes per bracket, measured after warm-up brackets have filled the
+   batch pool and grown the pending buffer, so every minor word is the
+   node itself plus what enter, leave, alloc, retire, seal, insertion and
+   traverse add per pair. Each bound is the scheme's measured cost; a
+   closure or a returned tuple on any of those paths pushes it over. *)
+let test_retire_allocation () =
+  let pairs = 200_000 and per_bracket = 8 in
+  List.iter
+    (fun (name, bound, (module S : SMR)) ->
+      Native.set_self 0;
+      let t = S.create cfg in
+      let brackets n =
+        for _ = 1 to n do
+          let g = S.enter t in
+          for i = 1 to per_bracket do
+            S.retire t g (S.alloc t i)
+          done;
+          S.leave t g
+        done
+      in
+      brackets 64;
+      let before = Gc.minor_words () in
+      brackets (pairs / per_bracket);
+      let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+      S.flush t;
+      Alcotest.(check int)
+        (name ^ ": flush reclaims everything")
+        0
+        (Smr.Smr_intf.unreclaimed (S.stats t));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per alloc+retire <= %g" name
+           per_pair bound)
+        true (per_pair <= bound))
+    [
+      ("hyaline", 16.5, (module N_hyaline : SMR));
+      ("hyaline-llsc", 17.75, (module N_hyaline_llsc));
+      ("hyaline-s", 14.875, (module N_hyaline_s));
+      ("hyaline-1", 17.375, (module N_hyaline1));
+      ("hyaline-1s", 15.625, (module N_hyaline1s));
+      ("crystalline-l", 15.625, (module N_crystalline_l));
+      ("crystalline-w", 16.25, (module N_crystalline_w));
+    ]
 
 (* Batch-record pool: every domain that frees a batch pushes its record
    back, and every seal pops one, so two domains sealing and freeing
@@ -193,6 +251,7 @@ let suite =
        test_protect_allocates_nothing
   :: Alcotest.test_case "enter-leave-allocation" `Quick
        test_enter_leave_allocation
+  :: Alcotest.test_case "retire-allocation" `Quick test_retire_allocation
   :: List.concat_map
     (fun (name, (module S : SMR)) ->
       let module T = Make (S) in

@@ -11,8 +11,9 @@
     lock-freedom.
 
     Hazard slots: 0 ancestor, 1 successor, 2 parent, 3 leaf/next —
-    transfers between roles re-publish an already-protected node, which is
-    safe by the standard HP transfer rule. *)
+    transfers between roles re-publish an already-protected node through
+    [S.transfer], which is safe by the standard HP transfer rule and costs
+    what each scheme decides (nothing for the Hyaline engines). *)
 
 module Make (S : Smr.Smr_intf.SMR) = struct
   let ds_name = "nm-tree"
@@ -77,15 +78,6 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       ~read:(fun () -> A.get field)
       ~target:(fun e -> Some e.tgt)
 
-  (* Re-publish an already-protected node under a new role slot (HP
-     transfer: the cached value cannot be freed while its old slot holds
-     it, and the validating re-read trivially succeeds). *)
-  let transfer t g ~idx node =
-    ignore
-      (S.protect t.smr g ~idx
-         ~read:(fun () -> node)
-         ~target:(fun n -> Some n))
-
   let seek t g key =
     let rec descend ~ancestor ~anc_field ~successor ~parent ~par ~par_field
         ~leaf_edge =
@@ -105,13 +97,13 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       | Internal i ->
           let ancestor, anc_field, successor =
             if not leaf_edge.tag then begin
-              transfer t g ~idx:0 parent;
-              transfer t g ~idx:1 leaf;
+              S.transfer t.smr g ~idx:0 parent;
+              S.transfer t.smr g ~idx:1 leaf;
               (par, par_field, leaf)
             end
             else (ancestor, anc_field, successor)
           in
-          transfer t g ~idx:2 leaf;
+          S.transfer t.smr g ~idx:2 leaf;
           let next_field = child i key in
           let next_edge = read_edge t g ~idx:3 next_field in
           descend ~ancestor ~anc_field ~successor ~parent:leaf ~par:i
@@ -121,7 +113,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
        read under slot 1 and doubles as the initial successor/parent. *)
     let s_edge = read_edge t g ~idx:1 t.root.left in
     let s_node = s_edge.tgt in
-    transfer t g ~idx:2 s_node;
+    S.transfer t.smr g ~idx:2 s_node;
     let s_internal =
       match S.data s_node with
       | Internal i -> i

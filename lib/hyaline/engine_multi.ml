@@ -176,6 +176,12 @@ struct
       in
       protect_attempt t g read access
 
+  (* A node this guard validated stays covered until [leave]: a batch
+     holding it has a minimum birth era at or below the access era that
+     validated it, and that era only rises, so no retirer skips this slot
+     for the batch. Basic Hyaline's slot reference alone covers it. *)
+  let transfer (_ : _ t) (_ : _ guard) ~idx:_ (_ : _ node) = ()
+
   (* Fig. 3 retire (batch insertion into every active slot), with the
      Fig. 5 REF #1# stale-era skip and ack bump for the robust flavour.
      [insert_attempt] returns whether the batch node at [cursor] was

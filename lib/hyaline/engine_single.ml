@@ -249,6 +249,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
         fast_attempt t slot read ~validate_help fast_tries
           (R.Atomic.get slot.access)
 
+  (* Free for every reader, as in [Engine_multi]: the slot's access era
+     only rises within an operation (the owner's [era_attempt] and every
+     [touch] only raise it), so a validated node stays covered. *)
+  let transfer (_ : _ t) (_ : _ guard) ~idx:_ (_ : _ node) = ()
+
   (* Fig. 4 retire: count the slots the batch lands in, then adjust NRef by
      that count (no Adjs constants, no predecessor adjustment). *)
   let rec insert_attempt t (b : 'a B.batch) slot cursor =

@@ -187,6 +187,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     end
 
   let protect (_ : _ t) (_ : _ guard) ~idx:_ ~read ~target:_ = read ()
+  let transfer (_ : _ t) (_ : _ guard) ~idx:_ (_ : _ node) = ()
 
   let refresh t g =
     leave t g;

@@ -106,6 +106,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       publish_attempt t slot owned idx read (R.Atomic.get t.era)
     else hit_attempt t slot owned idx read era
 
+  (* A transfer moves the reservation onto [idx] like any protect: the era
+     published there is what covers the node for the new role. *)
+  let transfer t g ~idx _ =
+    protect t g ~idx ~read:ignore ~target:(fun () -> None)
+
   (* Snapshot every published era once (charged), then partition with pure
      interval tests. *)
   let adopt_orphans t sid =

@@ -76,6 +76,13 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     if idx >= g.used then g.used <- idx + 1;
     protect_attempt t.hazards.(g.sid).(idx) read target
 
+  (* The node is already hazarded under another index, so the validating
+     re-read is trivially true: publishing it is the whole transfer. *)
+  let transfer t g ~idx n =
+    if idx >= t.cfg.hp_indices then invalid_arg "Hp.transfer: idx out of range";
+    if idx >= g.used then g.used <- idx + 1;
+    R.Atomic.set t.hazards.(g.sid).(idx) (Some n)
+
   (* One pass over all published hazards (the charged O(mn) reads of
      Table 1), then a pure membership test per limbo node. *)
   let adopt_orphans t sid =

@@ -85,6 +85,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   let protect t g ~idx:_ ~read ~target:_ = protect_attempt t g.sid read
 
+  (* Raising [upper] to the current era on a transfer is load-bearing over
+     the NM tree (DESIGN.md §15 "Transfer is a scheme operation"), so a
+     transfer keeps the charges of a protect with a constant read. *)
+  let transfer t g ~idx:_ _ = protect_attempt t g.sid ignore
+
   (* Snapshot every reservation interval once (charged O(n) reads), then
      partition with pure interval-overlap tests. *)
   let adopt_orphans t sid =

@@ -62,6 +62,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     Lifecycle.on_retire ~scheme:scheme_name n.state t.counters
 
   let protect (_ : _ t) () ~idx:_ ~read ~target:_ = read ()
+  let transfer (_ : _ t) () ~idx:_ (_ : _ node) = ()
   let refresh t g =
     leave t g;
     enter t

@@ -157,6 +157,17 @@ module type SMR = sig
       Hyaline-S) advance their reservation era; epoch/Hyaline read plainly.
       [idx] must be stable per pointer role and [< hp_indices]. *)
 
+  val transfer : 'a t -> 'a guard -> idx:int -> 'a node -> unit
+  (** Re-publish a node this guard already protects under role [idx] (the
+      standard HP transfer rule: the node cannot be freed while its old
+      role still holds it). Each scheme decides what that costs: HP
+      publishes the hazard; HE and IBR charge a [protect] whose [read] is
+      constant; epoch, Leaky and every Hyaline engine do nothing, since
+      their reservation already covers every node the guard validated
+      until [leave] (the robust readers' access era only rises; DESIGN.md
+      §15 "Transfer is a scheme operation"). [idx] obeys [protect]'s
+      rules. *)
+
   val refresh : 'a t -> 'a guard -> 'a guard
   (** End the current operation and start the next one in a single step.
       Semantically [leave] followed by [enter] (and implemented that way by

@@ -280,6 +280,35 @@ let test_hyaline_s_reader_stall_sweep () =
   reader_stall_sweep (module Hyaline_s_list) cfg;
   reader_stall_sweep (module Hyaline1s_list) cfg
 
+(* ---- The same sweep over the NM tree, whose seek moves nodes it already
+   protects between hazard roles with [S.transfer]. The robust Hyaline
+   readers make a transfer free, relying on their access era only rising
+   within an operation; IBR and HE keep a protect's charges, and IBR's
+   raise of [upper] there is load-bearing (a transfer that does nothing
+   fails this sweep at a few stall points). HP is left out: the seek can
+   read a frozen edge of an unlinked parent, which HP's validating re-read
+   does not catch. *)
+let test_nm_tree_reader_stall_sweep () =
+  let cfg =
+    {
+      (test_cfg ~threads:3) with
+      Smr.Smr_intf.batch_size = 1;
+      slots = 1;
+      era_freq = 2;
+    }
+  in
+  List.iter
+    (fun (module S : SMR) ->
+      reader_stall_sweep (module Smr_ds.Natarajan_mittal_tree.Make (S)) cfg)
+    [
+      (module Hyaline_s : SMR);
+      (module Hyaline1s);
+      (module Hyaline_core.Crystalline_l.Make (Sim));
+      (module Hyaline_core.Crystalline_w.Make (Sim));
+      (module Ibr);
+      (module He);
+    ]
+
 (* ---- Charged ops of one traversal. A lone thread's [contains] over a
    [k]-node list, with no allocation in flight (so the era holds): HE
    publishes at most once per hazard index it uses, not once per node,
@@ -290,8 +319,7 @@ let test_hyaline_s_reader_stall_sweep () =
    Crystalline-L never read it, and raise it by a plain store.
    Crystalline-W still reads it on every protect (helpers write it too),
    and basic Hyaline charges only the pointer reads. *)
-let traversal_counts (module S : SMR) ~k =
-  let module L = Smr_ds.Harris_michael_list.Make (S) in
+let contains_counts (module L : Smr_ds.Ds_intf.CONC_SET) ~k =
   run_solo (fun () ->
       let l = L.create (test_cfg ~threads:1) in
       for key = 1 to k do
@@ -304,12 +332,15 @@ let traversal_counts (module S : SMR) ~k =
       L.leave l g;
       d)
 
+let traversal_counts (module S : SMR) ~k =
+  contains_counts (module Smr_ds.Harris_michael_list.Make (S)) ~k
+
+let classes (c : Cell.op_counts) =
+  [ c.reads; c.writes; c.plain_writes; c.cas_ok; c.cas_fail; c.faas;
+    c.swaps; c.allocs ]
+
 let test_traversal_charged_ops () =
   let k = 32 in
-  let classes (c : Cell.op_counts) =
-    [ c.reads; c.writes; c.plain_writes; c.cas_ok; c.cas_fail; c.faas;
-      c.swaps; c.allocs ]
-  in
   let he = traversal_counts (module He) ~k in
   Alcotest.(check bool)
     (Printf.sprintf "HE: %d writes for %d nodes, at most one per index (3)"
@@ -335,6 +366,45 @@ let test_traversal_charged_ops () =
         [ 102; 0; 0; 1; 0; 0; 0; 0 ] );
     ]
 
+(* ---- Charged ops of one NM-tree [contains] by a lone thread, after
+   inserting 1..32 (so the era holds). The seek moves nodes it already
+   protects between hazard roles with [S.transfer]: HP publishes the
+   hazard, HE and IBR charge a protect whose read is constant, and the
+   robust Hyaline readers charge nothing, so they pay only for the edges
+   they read. The non-robust schemes charge only the pointer reads. *)
+let test_nm_tree_transfer_charged_ops () =
+  let k = 32 in
+  List.iter
+    (fun (name, (module S : SMR), expected) ->
+      Alcotest.(check (list int))
+        (name ^ ": per-class op counts of an NM-tree contains")
+        expected
+        (classes
+           (contains_counts (module Smr_ds.Natarajan_mittal_tree.Make (S)) ~k)))
+    [
+      ("Leaky", (module Leaky : SMR), [ 34; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("Epoch", (module Ebr : SMR), [ 34; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("HP", (module Hp : SMR), [ 68; 131; 0; 0; 0; 0; 0; 0 ]);
+      ("HE", (module He : SMR), [ 169; 4; 0; 0; 0; 0; 0; 0 ]);
+      ("IBR", (module Ibr : SMR), [ 296; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("Hyaline", (module Hyaline : SMR), [ 34; 0; 0; 0; 0; 0; 0; 0 ]);
+      ( "Hyaline/llsc",
+        (module Hyaline_llsc : SMR),
+        [ 34; 0; 0; 0; 0; 0; 0; 0 ] );
+      ("Hyaline-1", (module Hyaline1 : SMR), [ 34; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("Hyaline-S", (module Hyaline_s : SMR), [ 72; 0; 0; 1; 0; 0; 0; 0 ]);
+      ( "Hyaline-S/llsc",
+        (module Hyaline_s_llsc : SMR),
+        [ 72; 0; 0; 1; 0; 0; 0; 0 ] );
+      ("Hyaline-1S", (module Hyaline1s : SMR), [ 70; 1; 0; 0; 0; 0; 0; 0 ]);
+      ( "Crystalline-L",
+        (module Hyaline_core.Crystalline_l.Make (Sim) : SMR),
+        [ 70; 1; 0; 0; 0; 0; 0; 0 ] );
+      ( "Crystalline-W",
+        (module Hyaline_core.Crystalline_w.Make (Sim) : SMR),
+        [ 105; 0; 0; 1; 0; 0; 0; 0 ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "ebr-blocking" `Quick test_ebr_blocking;
@@ -347,8 +417,12 @@ let suite =
       test_he_reader_stall_sweep;
     Alcotest.test_case "hyaline-s-reader-stall-sweep" `Quick
       test_hyaline_s_reader_stall_sweep;
+    Alcotest.test_case "nm-tree-reader-stall-sweep" `Quick
+      test_nm_tree_reader_stall_sweep;
     Alcotest.test_case "traversal-charged-ops" `Quick
       test_traversal_charged_ops;
+    Alcotest.test_case "nm-tree-transfer-charged-ops" `Quick
+      test_nm_tree_transfer_charged_ops;
     Alcotest.test_case "head-dwcas-protocol" `Quick test_head_dwcas_protocol;
     Alcotest.test_case "leaky-protect-identity" `Quick
       test_leaky_protect_identity;

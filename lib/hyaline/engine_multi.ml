@@ -237,7 +237,9 @@ struct
     let t =
       {
         front;
-        dir = Dir.create ~kmin:(next_pow2 cfg.slots) ~make_slot;
+        dir =
+          Dir.create ~kmin:(next_pow2 cfg.slots) ~adaptive:cfg.adaptive
+            ~make_slot;
         m_leave_retries = Smr.Metrics.Counter.make "leave_cas_retries";
         m_slot_grows = Smr.Metrics.Counter.make "slot_grows";
       }

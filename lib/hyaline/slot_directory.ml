@@ -7,12 +7,22 @@
     [s = log2(i / kmin) + 1] (with [log2 0 = -1], i.e. entry 0), at offset
     [i - 2^(s-1)·kmin]; the paper stores pre-offset pointers instead, which
     is the same arithmetic. [kmin] must be a power of two, so [k] stays one
-    and Hyaline's [Adjs] assumption holds through every resize. *)
+    and Hyaline's [Adjs] assumption holds through every resize.
+
+    Charged reads. Only state that can change after [create] is read
+    through [R.Atomic]: entry 0 is written once, before any thread can see
+    the directory, so the first [kmin] slots come from the plain [first]
+    field, like any immutable word published with its node. Blocks
+    installed by [grow] (entries 1 and up) keep their charged read, and so
+    does the [k] cell of an [adaptive] directory. A non-adaptive directory
+    never grows, so its [k] is the constant [kmin] and the directory
+    charges nothing at all: this is the static [Heads[k]] of Fig. 3. *)
 
 module Make (R : Smr_runtime.Runtime_intf.S) = struct
   type 'a t = {
     kmin : int;
-    log2_kmin : int;
+    adaptive : bool;
+    first : 'a array;  (* entry 0's block, never replaced *)
     entries : 'a array option R.Atomic.t array;
     k : int R.Atomic.t;
     make_slot : int -> 'a;
@@ -20,33 +30,38 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   let max_entries = Sys.int_size - 1
 
-  let create ~kmin ~make_slot =
+  let create ~kmin ~adaptive ~make_slot =
     if not (Batch.is_power_of_two kmin) then
       invalid_arg "Slot_directory.create: kmin must be a power of two";
     let entries =
       Array.init (max_entries - Batch.log2 kmin) (fun _ -> R.Atomic.make None)
     in
-    R.Atomic.set entries.(0) (Some (Array.init kmin make_slot));
+    let first = Array.init kmin make_slot in
+    (* [get] reads entry 0's block from [first]; the cell is still written
+       so that [create] charges what Fig. 6's create does. *)
+    R.Atomic.set entries.(0) (Some first);
     {
       kmin;
-      log2_kmin = Batch.log2 kmin;
+      adaptive;
+      first;
       entries;
       k = R.Atomic.make kmin;
       make_slot;
     }
 
-  let k t = R.Atomic.get t.k
+  let k t = if t.adaptive then R.Atomic.get t.k else t.kmin
 
   (* Entry index [s] and offset for slot [i], computed in place rather
      than returned as a pair: [get] runs on every [enter] and per slot on
      every sealed batch, and without flambda a returned tuple is
      allocated. *)
   let get t i =
-    let s = if i < t.kmin then 0 else Batch.log2 (i / t.kmin) + 1 in
-    let off = if s = 0 then i else i - ((1 lsl (s - 1)) * t.kmin) in
-    match R.Atomic.get t.entries.(s) with
-    | Some block -> block.(off)
-    | None -> invalid_arg "Slot_directory.get: slot beyond current k"
+    if i < t.kmin then t.first.(i)
+    else
+      let s = Batch.log2 (i / t.kmin) + 1 in
+      match R.Atomic.get t.entries.(s) with
+      | Some block -> block.(i - ((1 lsl (s - 1)) * t.kmin))
+      | None -> invalid_arg "Slot_directory.get: slot beyond current k"
 
   (* Double the slot count, if [from] is still the current k. Losing either
      CAS just means a concurrent thread grew the directory for us. *)

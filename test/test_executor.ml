@@ -309,7 +309,7 @@ let test_golden_workload_point () =
     "epoch/list pinned point" "ops=71 steps=2003"
     (fmt (run (tiny ())));
   Alcotest.(check string)
-    "hyaline/hashmap pinned point" "ops=456 steps=20001"
+    "hyaline/hashmap pinned point" "ops=479 steps=20002"
     (fmt
        (run
           (Plan.cell ~scheme:"Hyaline" ~structure:Registry.Hashmap ~threads:4

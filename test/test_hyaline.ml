@@ -5,6 +5,7 @@
 module Sched = Smr_runtime.Scheduler
 module Sim = Smr_runtime.Sim_runtime
 module Batch = Hyaline_core.Batch
+module Cell = Smr_runtime.Sim_cell
 open Test_support
 
 (* ---- Adjs arithmetic (§3.2) -------------------------------------------- *)
@@ -47,7 +48,7 @@ module Dir = Hyaline_core.Slot_directory.Make (Sim)
 
 let test_directory_identity () =
   (* Every slot must come back as the record created for its index. *)
-  let dir = Dir.create ~kmin:4 ~make_slot:(fun i -> ref i) in
+  let dir = Dir.create ~kmin:4 ~adaptive:true ~make_slot:(fun i -> ref i) in
   for _ = 1 to 5 do
     Dir.grow dir ~from:(Dir.k dir)
   done;
@@ -59,7 +60,7 @@ let test_directory_identity () =
 let test_directory_concurrent_grow () =
   (* Racing growers: exactly one block wins per level; k stays a power of
      two and every slot remains addressable. *)
-  let dir = Dir.create ~kmin:2 ~make_slot:(fun i -> ref i) in
+  let dir = Dir.create ~kmin:2 ~adaptive:true ~make_slot:(fun i -> ref i) in
   ignore
     (run_threads ~threads:6 (fun _ ->
          for _ = 1 to 4 do
@@ -71,6 +72,23 @@ let test_directory_concurrent_grow () =
   for i = 0 to k - 1 do
     Alcotest.(check int) (Printf.sprintf "slot %d" i) i !(Dir.get dir i)
   done
+
+let test_directory_static () =
+  (* A non-adaptive directory is Fig. 3's static Heads[k]: k is kmin,
+     every slot comes back as its own record, and neither read is
+     charged. *)
+  let dir = Dir.create ~kmin:8 ~adaptive:false ~make_slot:(fun i -> ref i) in
+  let k, ids, d =
+    run_solo (fun () ->
+        let before = Cell.snapshot_counts () in
+        let k = Dir.k dir in
+        let ids = List.init k (fun i -> !(Dir.get dir i)) in
+        (k, ids, Cell.diff_counts ~now:(Cell.snapshot_counts ()) ~past:before))
+  in
+  Alcotest.(check int) "k is kmin" 8 k;
+  Alcotest.(check (list int)) "every slot's record" (List.init 8 Fun.id) ids;
+  Alcotest.(check (list int)) "no charged ops" [ 0; 0; 0; 0; 0; 0; 0; 0 ]
+    (classes d)
 
 (* ---- Trim (§3.3) -------------------------------------------------------- *)
 
@@ -315,6 +333,7 @@ let suite =
     Alcotest.test_case "directory-identity" `Quick test_directory_identity;
     Alcotest.test_case "directory-concurrent-grow" `Quick
       test_directory_concurrent_grow;
+    Alcotest.test_case "directory-static" `Quick test_directory_static;
     Alcotest.test_case "trim-releases" `Quick test_trim_releases_retired;
     Alcotest.test_case "trim-concurrent" `Quick test_trim_concurrent;
     Alcotest.test_case "ack-zero-at-quiescence" `Quick

@@ -335,10 +335,6 @@ let contains_counts (module L : Smr_ds.Ds_intf.CONC_SET) ~k =
 let traversal_counts (module S : SMR) ~k =
   contains_counts (module Smr_ds.Harris_michael_list.Make (S)) ~k
 
-let classes (c : Cell.op_counts) =
-  [ c.reads; c.writes; c.plain_writes; c.cas_ok; c.cas_fail; c.faas;
-    c.swaps; c.allocs ]
-
 let test_traversal_charged_ops () =
   let k = 32 in
   let he = traversal_counts (module He) ~k in
@@ -405,6 +401,61 @@ let test_nm_tree_transfer_charged_ops () =
         [ 105; 0; 0; 1; 0; 0; 0; 0 ] );
     ]
 
+(* ---- Charged ops of the slot directory. A lone thread's empty
+   [enter]+[leave], and the retire that seals a batch ([test_cfg]: 8
+   retires, k = 4, so the batch skips three empty slots). A non-adaptive
+   directory never changes after [create], so it charges nothing: only
+   the heads (and, on -S, the access and ack eras) are read. An adaptive
+   one reads its [k] cell on every enter and seal, as in Fig. 6. *)
+let directory_counts (module S : SMR) cfg =
+  run_solo (fun () ->
+      let t = S.create cfg in
+      let counted f =
+        let before = Cell.snapshot_counts () in
+        f ();
+        classes (Cell.diff_counts ~now:(Cell.snapshot_counts ()) ~past:before)
+      in
+      let pair = counted (fun () -> S.leave t (S.enter t)) in
+      let g = S.enter t in
+      let nodes = Array.init cfg.Smr.Smr_intf.batch_size (S.alloc t) in
+      let last = Array.length nodes - 1 in
+      for i = 0 to last - 1 do
+        S.retire t g nodes.(i)
+      done;
+      let seal = counted (fun () -> S.retire t g nodes.(last)) in
+      S.leave t g;
+      (pair, seal))
+
+let test_directory_charged_ops () =
+  List.iter
+    (fun (name, m, adaptive, pair, seal) ->
+      let cfg = { (test_cfg ~threads:1) with Smr.Smr_intf.adaptive } in
+      let got_pair, got_seal = directory_counts m cfg in
+      let label what =
+        Printf.sprintf "%s (adaptive=%b): per-class op counts of %s" name
+          adaptive what
+      in
+      Alcotest.(check (list int)) (label "an empty enter+leave") pair got_pair;
+      Alcotest.(check (list int)) (label "the sealing retire") seal got_seal)
+    [
+      ( "Hyaline", (module Hyaline : SMR), false,
+        [ 2; 0; 0; 2; 0; 0; 0; 0 ], [ 4; 0; 1; 1; 0; 1; 0; 0 ] );
+      ( "Hyaline/llsc", (module Hyaline_llsc : SMR), false,
+        [ 5; 0; 0; 2; 0; 0; 0; 0 ], [ 6; 0; 1; 1; 0; 1; 0; 0 ] );
+      ( "Hyaline-S", (module Hyaline_s : SMR), false,
+        [ 3; 0; 0; 2; 0; 0; 0; 0 ], [ 5; 0; 1; 1; 0; 2; 0; 0 ] );
+      ( "Hyaline-S/llsc", (module Hyaline_s_llsc : SMR), false,
+        [ 6; 0; 0; 2; 0; 0; 0; 0 ], [ 7; 0; 1; 1; 0; 2; 0; 0 ] );
+      ( "Hyaline", (module Hyaline : SMR), true,
+        [ 3; 0; 0; 2; 0; 0; 0; 0 ], [ 5; 0; 1; 1; 0; 1; 0; 0 ] );
+      ( "Hyaline/llsc", (module Hyaline_llsc : SMR), true,
+        [ 6; 0; 0; 2; 0; 0; 0; 0 ], [ 7; 0; 1; 1; 0; 1; 0; 0 ] );
+      ( "Hyaline-S", (module Hyaline_s : SMR), true,
+        [ 4; 0; 0; 2; 0; 0; 0; 0 ], [ 6; 0; 1; 1; 0; 2; 0; 0 ] );
+      ( "Hyaline-S/llsc", (module Hyaline_s_llsc : SMR), true,
+        [ 7; 0; 0; 2; 0; 0; 0; 0 ], [ 8; 0; 1; 1; 0; 2; 0; 0 ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "ebr-blocking" `Quick test_ebr_blocking;
@@ -423,6 +474,8 @@ let suite =
       test_traversal_charged_ops;
     Alcotest.test_case "nm-tree-transfer-charged-ops" `Quick
       test_nm_tree_transfer_charged_ops;
+    Alcotest.test_case "directory-charged-ops" `Quick
+      test_directory_charged_ops;
     Alcotest.test_case "head-dwcas-protocol" `Quick test_head_dwcas_protocol;
     Alcotest.test_case "leaky-protect-identity" `Quick
       test_leaky_protect_identity;

@@ -449,7 +449,7 @@ let test_timer_schedule_golden () =
   Alcotest.(check string) "churn+service schedule replays" h (render ());
   Alcotest.(check string)
     "churn+service schedule golden"
-    "36bce734df34d71a18412f6d9234d9b3" h
+    "dbe2301d6b0efa951579605d2942eeba" h
 
 let test_dedicated_reclaimer () =
   let spec =

@@ -68,6 +68,13 @@ let run_solo f =
   ignore (run_threads ~threads:1 (fun _ -> result := Some (f ())));
   match !result with Some r -> r | None -> assert false
 
+(* Per-class op counts in a fixed order (reads, writes, plain writes, CAS
+   successes, CAS failures, FAAs, swaps, allocs), for pinning what an
+   operation charges. *)
+let classes (c : Smr_runtime.Sim_cell.op_counts) =
+  [ c.reads; c.writes; c.plain_writes; c.cas_ok; c.cas_fail; c.faas;
+    c.swaps; c.allocs ]
+
 let check_no_leak name (stats : Smr.Smr_intf.stats) =
   Alcotest.(check int)
     (name ^ ": all retired nodes freed at quiescence")

@@ -127,7 +127,9 @@ grep -q "churn verdict: transparent ok" "$tmpdir/churn.log" || {
 # same byte budget. The driver prints a one-line machine-checked verdict,
 # writes BENCH_service.json and round-trip validates it; a second run over
 # the same cache must execute zero cells (simulated-OOM rows are cached
-# like results) and reproduce the artifact byte for byte.
+# like results) and reproduce the artifact byte for byte. The fresh
+# report must also equal the committed BENCH_service.json, so a change
+# that moves a schedule cannot leave a stale artifact behind.
 echo "==> service smoke run"
 mkdir "$tmpdir/svc1" "$tmpdir/svc2"
 dune exec bin/figures.exe -- service --cache-dir "$tmpdir/svccache" \
@@ -145,6 +147,10 @@ grep -q "(100% cached)" "$tmpdir/service2.log" || {
   echo "service smoke: warm run was not fully cached"; cat "$tmpdir/service2.log"; exit 1; }
 cmp "$tmpdir/svc1/BENCH_service.json" "$tmpdir/svc2/BENCH_service.json" || {
   echo "service smoke: warm-cache report differs"; exit 1; }
+cmp "$tmpdir/svc1/BENCH_service.json" BENCH_service.json || {
+  echo "service smoke: committed BENCH_service.json is stale;" \
+    "regenerate it with: dune exec bin/figures.exe -- service --no-cache -o ."
+  exit 1; }
 
 # Waitfree smoke: the Crystalline wait-freedom sweep must reproduce both
 # halves of the verdict — bounded resident bytes under permanently
@@ -153,7 +159,8 @@ cmp "$tmpdir/svc1/BENCH_service.json" "$tmpdir/svc2/BENCH_service.json" || {
 # stall/kill peaks within the robustness bound. The driver prints a
 # one-line machine-checked verdict and writes BENCH_waitfree.json; a
 # second run over the same cache must execute zero cells and reproduce
-# the artifact byte for byte.
+# the artifact byte for byte, and equal the committed
+# BENCH_waitfree.json.
 echo "==> waitfree smoke run"
 mkdir "$tmpdir/wf1" "$tmpdir/wf2"
 dune exec bin/figures.exe -- waitfree --cache-dir "$tmpdir/wfcache" \
@@ -172,6 +179,10 @@ grep -q "(100% cached)" "$tmpdir/waitfree2.log" || {
   echo "waitfree smoke: warm run was not fully cached"; cat "$tmpdir/waitfree2.log"; exit 1; }
 cmp "$tmpdir/wf1/BENCH_waitfree.json" "$tmpdir/wf2/BENCH_waitfree.json" || {
   echo "waitfree smoke: warm-cache report differs"; exit 1; }
+cmp "$tmpdir/wf1/BENCH_waitfree.json" BENCH_waitfree.json || {
+  echo "waitfree smoke: committed BENCH_waitfree.json is stale;" \
+    "regenerate it with: dune exec bin/figures.exe -- waitfree --no-cache -o ."
+  exit 1; }
 
 # Budgeted adversarial verification: the full scheme x structure matrix
 # under sleep-set DFS, random walks and PCT, plus the stall-injection

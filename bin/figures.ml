@@ -12,20 +12,10 @@ module Plan = Smr_harness.Plan
 module Executor = Smr_harness.Executor
 
 let scale_term =
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Run at full (paper) scale.")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (enum [ ("quick", Plan.Quick); ("full", Plan.Full) ]) Plan.Quick
-      & info [ "scale" ] ~docv:"SCALE"
-          ~doc:"Preset scale: $(b,quick) (default) or $(b,full); $(b,full) \
-                is equivalent to $(b,--full).")
-  in
-  Term.(
-    const (fun f s -> if f || s = Plan.Full then Plan.Full else Plan.Quick)
-    $ full $ scale)
+  Arg.(
+    value
+    & vflag Plan.Quick
+        [ (Plan.Full, info [ "full" ] ~doc:"Run at full (paper) scale.") ])
 
 let cache_term =
   let no_cache =
@@ -43,16 +33,16 @@ let cache_term =
   Term.(const (fun no dir -> if no then None else Some dir) $ no_cache $ dir)
 
 let domains_term =
-  let d =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Fan the sweep out across $(docv) worker domains. Results, \
-             failure rows and cache files are byte-identical to a \
-             sequential run; only progress-line order differs.")
-  in
-  Term.(const (fun n -> if n > 1 then Some n else None) $ d)
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"N"
+        ~doc:
+          "Fan the sweep out across $(docv) worker domains. Results, \
+           failure rows and cache files are byte-identical to a sequential \
+           run; only progress-line order differs. For $(b,parity), the \
+           worker domains per native cell (default 2), which is also the \
+           simulated thread count.")
 
 let progress_term =
   let p =
@@ -230,11 +220,7 @@ let bench_cmd =
     profile_report profile;
     (* Self-check: re-read the artifact, parse it against the schema, and
        assert it covers the full registry — CI keys off this. *)
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let parsed = Smr_harness.Report.parse (Smr_harness.Json.of_string text) in
+    let parsed = Smr_harness.Report.parse (Smr_harness.Scenario.read_json path) in
     match Smr_harness.Report.validate parsed with
     | Ok () ->
         Fmt.pr "wrote %s: %d runs, schema ok, all schemes covered@." path
@@ -269,15 +255,6 @@ let verify_cmd =
     Arg.(
       value & opt string "."
       & info [ "trace-dir" ] ~doc:"Directory for counterexample trace files.")
-  in
-  let smoke_t =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI budget: fixed seeds and the small default limits (the matrix \
-             completes in well under a minute). Currently the default \
-             budgets; spelled out so scripts are explicit about intent.")
   in
   let replay_t =
     Arg.(
@@ -336,8 +313,7 @@ let verify_cmd =
   (* Scheme names may contain '/' (Hyaline/llsc) — flatten for filenames
      only; the trace meta keeps the canonical name for replay lookup. *)
   let file_safe = String.map (fun c -> if c = '/' then '-' else c) in
-  let run mode seed trace_dir smoke replay scale =
-    ignore smoke;
+  let run mode seed trace_dir replay scale =
     match replay with
     | Some path -> replay_trace path
     | None ->
@@ -464,135 +440,47 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const run $ mode_t $ seed_t $ trace_dir_t $ smoke_t $ replay_t
-      $ scale_term)
+      const run $ mode_t $ seed_t $ trace_dir_t $ replay_t $ scale_term)
 
-let parity_cmd =
-  let doc =
-    "Cross-validate the simulator against the native runtime: run the full \
-     scheme x structure matrix on real domains (watchdog-guarded), compare \
-     the relative scheme orderings (throughput rank, peak-unreclaimed \
-     rank) on a pinned ladder, print a machine-checked verdict, and \
-     optionally write BENCH_native.json."
-  in
-  let domains_t =
+(* One subcommand per verdict scenario: print the tables and the verdict,
+   optionally write and re-read BENCH_<artifact>.json, and exit 1 unless
+   the verdict holds. *)
+let scenario_cmd (Smr_harness.Scenario.Any sc as scenario) =
+  let module S = Smr_harness.Scenario in
+  let out =
     Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains per native cell (also the sim thread count).")
-  in
-  let reps_t =
-    Arg.(
-      value & opt int 3
-      & info [ "reps" ] ~docv:"R"
+      value & opt (some string) None
+      & info [ "o"; "output-dir" ] ~docv:"DIR"
           ~doc:
-            "Native repetitions per ladder cell; the median ops/sec is \
-             ranked, damping wall-clock noise.")
+            (Printf.sprintf
+               "Write the verdict envelope BENCH_%s.json to $(docv) and \
+                re-read it; the exit status is the re-read verdict."
+               sc.S.artifact))
   in
-  let dir_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output-dir" ]
-          ~doc:"Write (and round-trip validate) BENCH_native.json here.")
+  (* Only wall-clock scenarios repeat their measurements. *)
+  let reps =
+    if sc.S.deterministic then Term.const 1
+    else
+      Arg.(
+        value & opt int 3
+        & info [ "reps" ] ~docv:"R"
+            ~doc:
+              "Native repetitions per ladder cell; the median ops/sec is \
+               ranked, damping wall-clock noise.")
   in
-  let run domains reps out profile cache on_progress scale =
-    let verdict =
-      Smr_harness.Parity.run ?cache ?on_progress ?out ~domains ~reps
-        Fmt.stdout ~scale
+  let run out profile domains cache on_progress reps scale =
+    let ok =
+      S.run ?out Fmt.stdout { S.scale; domains; cache; on_progress; reps }
+        scenario
     in
     profile_report profile;
-    if not verdict.Smr_harness.Parity.v_agree then exit 1
-  in
-  Cmd.v (Cmd.info "parity" ~doc)
-    Term.(
-      const run $ domains_t $ reps_t $ dir_t $ profile_term $ cache_term
-      $ progress_term $ scale_term)
-
-let service_cmd =
-  let doc =
-    "The million-user session-cache service sweep: open-loop bursty \
-     Zipfian traffic with a mid-run hot-key storm, read/write client \
-     tiers, connection churn, 2 stalled readers, a periodic background \
-     reclaimer and a byte-budget pressure spike, one cell per scheme. \
-     Prints SLO percentiles (p50/p99/p999 sojourn, queue p99), \
-     resident-byte trajectories and a machine-checked robustness \
-     verdict; optionally writes BENCH_service.json."
-  in
-  let dir_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output-dir" ]
-          ~doc:"Write (and round-trip validate) BENCH_service.json here.")
-  in
-  let run out profile domains cache on_progress scale =
-    let t, stats =
-      Smr_harness.Figures.service ?domains ?cache ?on_progress Fmt.stdout
-        ~scale
-    in
-    Fmt.pr "%a@." Executor.pp_stats stats;
-    profile_report profile;
-    (match out with
-    | None -> ()
-    | Some d ->
-        let path = Smr_harness.Service.write ~dir:d t in
-        (* Self-check: re-read the artifact, parse it against the schema,
-           and assert coverage + verdict — CI keys off this. *)
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        let parsed = Smr_harness.Service.parse (Smr_harness.Json.of_string text) in
-        (match Smr_harness.Service.validate parsed with
-        | Ok () ->
-            Fmt.pr "wrote %s: %d rows, schema ok, verdict holds@." path
-              (List.length parsed.Smr_harness.Service.p_rows)
-        | Error msg ->
-            Fmt.epr "invalid service report %s: %s@." path msg;
-            exit 1));
-    if not t.Smr_harness.Service.verdict.Smr_harness.Service.v_ok then exit 1
-  in
-  Cmd.v (Cmd.info "service" ~doc)
-    Term.(
-      const run $ dir_t $ profile_term $ domains_term $ cache_term
-      $ progress_term $ scale_term)
-
-let waitfree_cmd =
-  let doc =
-    "The Crystalline wait-freedom sweep: resident-bytes trajectories \
-     under 2 permanently stalled readers across the Hyaline lineage, \
-     plus the uncached probes — per-op reader step counts under a \
-     starvation schedule and peak unreclaimed under stall/kill \
-     injection. Prints a machine-checked verdict; optionally writes \
-     BENCH_waitfree.json."
-  in
-  let dir_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output-dir" ]
-          ~doc:"Write BENCH_waitfree.json here (byte-reproducible).")
-  in
-  let run out profile domains cache on_progress scale =
-    let artifact, stats, ok =
-      Smr_harness.Figures.waitfree ?domains ?cache ?on_progress Fmt.stdout
-        ~scale
-    in
-    Fmt.pr "%a@." Executor.pp_stats stats;
-    profile_report profile;
-    (match out with
-    | None -> ()
-    | Some d ->
-        let path = Filename.concat d "BENCH_waitfree.json" in
-        let oc = open_out path in
-        output_string oc (Smr_harness.Json.to_string artifact);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "wrote %s@." path);
     if not ok then exit 1
   in
-  Cmd.v (Cmd.info "waitfree" ~doc)
+  Cmd.v
+    (Cmd.info sc.S.kind ~doc:(sc.S.doc ^ " Exits 1 unless the verdict holds."))
     Term.(
-      const run $ dir_t $ profile_term $ domains_term $ cache_term
-      $ progress_term $ scale_term)
+      const run $ out $ profile_term $ domains_term $ cache_term
+      $ progress_term $ reps $ scale_term)
 
 (* Must come first: if this process is a re-exec'd native-cell worker
    (see Native_workload.guard_main), it runs the cell and exits instead
@@ -606,13 +494,6 @@ let () =
       fig_cmd "fig8" "Figures 8 & 9: x86-64 write-heavy." fig8_9;
       fig_cmd "fig10a" "Figure 10a: robustness under stalled threads." fig10a;
       fig_cmd "fig10b" "Figure 10b: trimming." fig10b;
-      fig_cmd "footprint"
-        "Resident allocator bytes vs simulated time under stalled readers."
-        footprint;
-      fig_cmd "churn"
-        "Thread churn: per-scheme join/leave cost, slot reuse and orphan \
-         accounting under thousands of short-lived session threads."
-        churn;
       fig_cmd "fig11" "Figures 11 & 12: x86-64 read-mostly." fig11_12;
       fig_cmd "fig13" "Figures 13 & 14: PowerPC write-heavy." fig13_14;
       fig_cmd "fig15" "Figures 15 & 16: PowerPC read-mostly." fig15_16;
@@ -620,11 +501,9 @@ let () =
         Term.(const (fun () -> table1 Fmt.stdout) $ const ());
       point_cmd;
       bench_cmd;
-      service_cmd;
-      waitfree_cmd;
-      parity_cmd;
       verify_cmd;
     ]
+    @ List.map scenario_cmd Smr_harness.Scenario.all
   in
   let info =
     Cmd.info "hyaline-figures"

@@ -81,7 +81,7 @@ val cacheable_failure : string -> bool
 (** True for failure messages the cache persists — currently the
     ["OOM: …"] rows a simulated byte budget produces deterministically.
     Also the test for "this failure is a simulated OOM" used by the
-    {!Service} verdict. *)
+    {!Scenario.service} verdict. *)
 
 val print_progress : Format.formatter -> progress -> unit
 (** A terse one-line-per-cell progress printer for driver stderr. *)

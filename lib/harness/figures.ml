@@ -212,399 +212,6 @@ let fig10a ?domains ?cache ?on_progress ppf ~scale =
     ~ylabel:"avg unreclaimed objects (sampled per op)"
     ~value:(fun r -> r.avg_unreclaimed)
 
-(* -- Footprint: resident bytes over simulated time ----------------------- *)
-
-(* The unreclaimed-memory-vs-time view the paper discusses around Fig. 10a,
-   rendered in allocator bytes: a write-heavy hash map with two permanently
-   stalled readers. Epoch's horizon cannot pass the stalled guards, so its
-   resident footprint grows for the whole run; robust schemes stay bounded.
-   The final verdict line is greppable by tools/check.sh and CI. *)
-let footprint ?domains ?cache ?on_progress ppf ~scale =
-  let plan = Plan.footprint ~scale () in
-  let summary = Executor.run ?domains ?cache ?on_progress plan in
-  let ok =
-    List.filter_map
-      (fun (r : Executor.row) ->
-        match r.Executor.outcome with
-        | Executor.Done res -> Some (r.Executor.cell.Plan.label, res)
-        | Executor.Failed msg ->
-            Fmt.epr "footprint: cell %s failed: %s@."
-              r.Executor.cell.Plan.label msg;
-            None)
-      summary.Executor.rows
-  in
-  let budget =
-    match summary.Executor.rows with
-    | r :: _ -> (Plan.spec_of_cell r.Executor.cell).Workload.budget
-    | [] -> 0
-  in
-  let ticks = 8 in
-  let grid = List.init ticks (fun i -> budget * (i + 1) / ticks) in
-  Fmt.pf ppf
-    "# Footprint — resident allocator bytes vs simulated time (hash map, 2 \
-     stalled readers)@.@.";
-  Fmt.pf ppf "%-10s" "time";
-  List.iter (fun (l, _) -> Fmt.pf ppf " %14s" l) ok;
-  Fmt.pf ppf "@.";
-  (* Last timeline sample at or before [t]; series sample on the same
-     clock, so columns are comparable row by row. *)
-  let sample_at t (res : Workload.result) =
-    List.fold_left
-      (fun acc (s : Workload.sample) ->
-        if s.Workload.s_at <= t then Some s else acc)
-      None res.Workload.timeline
-  in
-  List.iter
-    (fun t ->
-      Fmt.pf ppf "%-10d" t;
-      List.iter
-        (fun (_, res) ->
-          match sample_at t res with
-          | Some s -> Fmt.pf ppf " %14d" s.Workload.s_resident
-          | None -> Fmt.pf ppf " %14s" "-")
-        ok;
-      Fmt.pf ppf "@.")
-    grid;
-  Fmt.pf ppf "@.## allocator counters (final)@.";
-  Fmt.pf ppf "%-14s %12s %12s %8s %10s %10s %8s %5s@." "series" "resident"
-    "hwm" "slabs" "reuse" "fresh" "press" "oom";
-  List.iter
-    (fun (l, (res : Workload.result)) ->
-      let m = res.Workload.metrics.Smr.Metrics.mem in
-      Fmt.pf ppf "%-14s %12d %12d %8d %10d %10d %8d %5d@." l
-        m.Mem.Mem_intf.bytes_resident m.Mem.Mem_intf.bytes_hwm
-        m.Mem.Mem_intf.slabs_live m.Mem.Mem_intf.reuse_hits
-        m.Mem.Mem_intf.fresh_allocs m.Mem.Mem_intf.pressure_events
-        m.Mem.Mem_intf.oom_failures)
-    ok;
-  let resident l =
-    Option.map
-      (fun (r : Workload.result) ->
-        r.Workload.metrics.Smr.Metrics.mem.Mem.Mem_intf.bytes_resident)
-      (List.assoc_opt l ok)
-  in
-  (match (resident "Epoch", resident "Hyaline-S") with
-  | Some e, Some h when h > 0 && e >= 2 * h ->
-      Fmt.pf ppf
-        "@.footprint verdict: robust contrast ok (stalled Epoch resident \
-         %dB >= 2x Hyaline-S %dB)@."
-        e h
-  | Some e, Some h ->
-      Fmt.pf ppf
-        "@.footprint verdict: WEAK contrast (stalled Epoch %dB vs Hyaline-S \
-         %dB)@."
-        e h
-  | _ -> Fmt.pf ppf "@.footprint verdict: incomplete (missing series)@.");
-  Fmt.pf ppf "@."
-
-(* -- Wait-freedom: the Crystalline memory + steps verdict ---------------- *)
-
-(* Two halves, one machine-checked verdict. Memory: the {!Plan.waitfree}
-   executor sweep (cached) — the footprint adversary over the Hyaline
-   lineage; Crystalline-L/-W must plateau alongside Hyaline-1S while
-   stalled Epoch diverges. Steps: the uncached {!Verify.waitfree_probe} —
-   per-op reader cost under a starvation schedule plus the stall/kill
-   peak-unreclaimed probes; Crystalline-W alone must be bounded on both
-   axes. The verdict line is greppable by tools/check.sh and CI; the
-   returned JSON is the BENCH_waitfree artifact (fully deterministic, so
-   a warm-cache rerun reproduces it byte for byte). *)
-let waitfree ?domains ?cache ?on_progress ppf ~scale =
-  let plan = Plan.waitfree ~scale () in
-  let summary = Executor.run ?domains ?cache ?on_progress plan in
-  let ok_rows =
-    List.filter_map
-      (fun (r : Executor.row) ->
-        match r.Executor.outcome with
-        | Executor.Done res -> Some (r.Executor.cell.Plan.label, res)
-        | Executor.Failed msg ->
-            Fmt.epr "waitfree: cell %s failed: %s@."
-              r.Executor.cell.Plan.label msg;
-            None)
-      summary.Executor.rows
-  in
-  let budget =
-    match summary.Executor.rows with
-    | r :: _ -> (Plan.spec_of_cell r.Executor.cell).Workload.budget
-    | [] -> 0
-  in
-  let ticks = 8 in
-  let grid = List.init ticks (fun i -> budget * (i + 1) / ticks) in
-  Fmt.pf ppf
-    "# Wait-freedom — resident allocator bytes vs simulated time (hash \
-     map, 2 stalled readers)@.@.";
-  Fmt.pf ppf "%-10s" "time";
-  List.iter (fun (l, _) -> Fmt.pf ppf " %14s" l) ok_rows;
-  Fmt.pf ppf "@.";
-  let sample_at t (res : Workload.result) =
-    List.fold_left
-      (fun acc (s : Workload.sample) ->
-        if s.Workload.s_at <= t then Some s else acc)
-      None res.Workload.timeline
-  in
-  List.iter
-    (fun t ->
-      Fmt.pf ppf "%-10d" t;
-      List.iter
-        (fun (_, res) ->
-          match sample_at t res with
-          | Some s -> Fmt.pf ppf " %14d" s.Workload.s_resident
-          | None -> Fmt.pf ppf " %14s" "-")
-        ok_rows;
-      Fmt.pf ppf "@.")
-    grid;
-  let resident l =
-    Option.map
-      (fun (r : Workload.result) ->
-        r.Workload.metrics.Smr.Metrics.mem.Mem.Mem_intf.bytes_resident)
-      (List.assoc_opt l ok_rows)
-  in
-  (* The uncached half: per-op reader steps under the starvation
-     schedule, and peak unreclaimed under a stalled AND a killed
-     reader. Deterministic (fixed seeds, custom picker), so the verdict
-     and artifact are reproducible without the cache. *)
-  let wf = Verify.waitfree_probe () in
-  Fmt.pf ppf "@.## reader cost units per protect (adversary allocs on top)@.";
-  Fmt.pf ppf "%-14s %8s" "scheme" "bounded";
-  List.iter
-    (fun (a, _) -> Fmt.pf ppf " %10d" a)
-    (match wf.Verify.wf_steps with s :: _ -> s.Verify.s_costs | [] -> []);
-  Fmt.pf ppf "@.";
-  List.iter
-    (fun (s : Verify.steps) ->
-      Fmt.pf ppf "%-14s %8b" s.Verify.s_scheme s.Verify.s_bounded;
-      List.iter (fun (_, c) -> Fmt.pf ppf " %10d" c) s.Verify.s_costs;
-      Fmt.pf ppf "@.")
-    wf.Verify.wf_steps;
-  Fmt.pf ppf "@.## peak unreclaimed under a faulted reader (bound %d)@."
-    wf.Verify.wf_bound;
-  Fmt.pf ppf "%-14s %10s %10s@." "scheme" "stalled" "killed";
-  let peak rows name =
-    (List.find (fun r -> r.Verify.r_scheme = name) rows).Verify.r_peak
-  in
-  List.iter
-    (fun name ->
-      Fmt.pf ppf "%-14s %10d %10d@." name
-        (peak wf.Verify.wf_stall name)
-        (peak wf.Verify.wf_kill name))
-    Verify.wf_mem_schemes;
-  (* Sweep-side plateau check: stalled Epoch's resident bytes dwarf
-     Crystalline-W's under the identical adversary. *)
-  let plateau =
-    match (resident "Epoch", resident "Crystalline-W") with
-    | Some e, Some w when w > 0 -> Some (e, w, e >= 2 * w)
-    | _ -> None
-  in
-  let sweep_ok = match plateau with Some (_, _, ok) -> ok | None -> false in
-  let verdict_ok = sweep_ok && wf.Verify.wf_ok in
-  (match plateau with
-  | Some (e, w, _) ->
-      Fmt.pf ppf
-        "@.waitfree verdict: %s (Crystalline-W resident %dB vs stalled \
-         Epoch %dB; steps flat=%b; stall/kill peaks within %d=%b)@."
-        (if verdict_ok then "wait-free ok" else "FAIL")
-        w e
-        (List.exists
-           (fun s ->
-             s.Verify.s_scheme = "Crystalline-W" && s.Verify.s_bounded)
-           wf.Verify.wf_steps)
-        wf.Verify.wf_bound wf.Verify.wf_ok
-  | None -> Fmt.pf ppf "@.waitfree verdict: incomplete (missing series)@.");
-  Fmt.pf ppf "@.";
-  let artifact =
-    Json.Obj
-      [
-        ("schema_version", Json.Int 1);
-        ("kind", Json.String "waitfree");
-        ("bound", Json.Int wf.Verify.wf_bound);
-        ("verdict_ok", Json.Bool verdict_ok);
-        ( "resident",
-          Json.Obj
-            (List.map
-               (fun (l, (res : Workload.result)) ->
-                 ( l,
-                   Json.Int
-                     res.Workload.metrics.Smr.Metrics.mem
-                       .Mem.Mem_intf.bytes_resident ))
-               ok_rows) );
-        ( "steps",
-          Json.List
-            (List.map
-               (fun (s : Verify.steps) ->
-                 Json.Obj
-                   [
-                     ("scheme", Json.String s.Verify.s_scheme);
-                     ("bounded", Json.Bool s.Verify.s_bounded);
-                     ( "cost_per_op",
-                       Json.List
-                         (List.map
-                            (fun (a, c) ->
-                              Json.Obj
-                                [
-                                  ("allocs", Json.Int a);
-                                  ("cost", Json.Int c);
-                                ])
-                            s.Verify.s_costs) );
-                   ])
-               wf.Verify.wf_steps) );
-        ( "faulted_peaks",
-          Json.List
-            (List.map
-               (fun name ->
-                 Json.Obj
-                   [
-                     ("scheme", Json.String name);
-                     ("stalled", Json.Int (peak wf.Verify.wf_stall name));
-                     ("killed", Json.Int (peak wf.Verify.wf_kill name));
-                   ])
-               Verify.wf_mem_schemes) );
-      ]
-  in
-  (artifact, summary.Executor.stats, verdict_ok)
-
-(* -- Churn: thread join/leave cost and orphan accounting ----------------- *)
-
-(* Micro: charged cost of one register/deregister cycle, measured on a
-   single simulated fiber with no other work — the per-thread price of
-   joining the scheme. The registry bookkeeping itself is plain OCaml
-   (uncosted), so this isolates exactly the reservation-cell traffic each
-   scheme publishes: zero for the Hyaline engines (the paper's §2.4
-   transparency claim) and Leaky, hp_indices stores for HP/HE, a couple of
-   stores for EBR/IBR. *)
-let micro_churn_cost (module S : Registry.SMR) =
-  let module Sched = Smr_runtime.Scheduler in
-  let cfg = base_cfg ~max_threads:4 in
-  let iters = 500 in
-  let t = S.create cfg in
-  let sched = Sched.create () in
-  ignore
-    (Sched.spawn sched (fun () ->
-         for _ = 1 to iters do
-           S.deregister t (S.register t)
-         done));
-  (match Sched.run sched with
-  | Sched.All_finished -> ()
-  | _ -> invalid_arg "micro_churn_cost: did not finish");
-  Sched.now sched // iters
-
-(* Macro: the churn sweep — each scheme runs a static hashmap cell and an
-   identical cell with >= 2000 session join/leave events, so the table
-   shows what churn does to end-to-end throughput next to the micro cost,
-   plus the slot-recycling and orphan-handoff accounting the lifecycle
-   layer maintains. The verdict line is greppable by tools/check.sh and
-   CI: it requires the transparent schemes' per-churn cost to be exactly
-   zero, every registration scheme's to be positive, enough churn events,
-   and zero orphaned retirees left unadopted at quiescence. *)
-let churn ?domains ?cache ?on_progress ppf ~scale =
-  let plan = Plan.churn_sweep ~scale () in
-  let summary = Executor.run ?domains ?cache ?on_progress plan in
-  let find label =
-    List.find_map
-      (fun (r : Executor.row) ->
-        if String.equal r.Executor.cell.Plan.label label then
-          match r.Executor.outcome with
-          | Executor.Done res -> Some res
-          | Executor.Failed msg ->
-              Fmt.epr "churn: cell %s failed: %s@." label msg;
-              None
-        else None)
-      summary.Executor.rows
-  in
-  let schemes = [ "Epoch"; "HP"; "HE"; "IBR"; "Hyaline-1"; "Hyaline" ] in
-  Fmt.pf ppf
-    "# Churn — session threads joining/leaving mid-run (hash map, 4 static \
-     threads)@.@.";
-  Fmt.pf ppf "%-10s %10s %12s %7s %7s %7s %9s %9s %8s %8s@." "scheme"
-    "cost/churn" "tput-ratio" "joins" "leaves" "reuses" "reuse-lat" "orphaned"
-    "adopted" "backlog";
-  let rows =
-    List.filter_map
-      (fun name ->
-        match (find name, find (name ^ "-static")) with
-        | Some churned, Some static ->
-            let micro =
-              match Registry.Sim.scheme_of_name name with
-              | Some m -> micro_churn_cost m
-              | None -> nan
-            in
-            Some (name, micro, churned, static)
-        | _ -> None)
-      schemes
-  in
-  let events = ref 0 in
-  let backlog = ref 0 in
-  List.iter
-    (fun (name, micro, (churned : Workload.result), static) ->
-      match churned.Workload.churn with
-      | None -> ()
-      | Some c ->
-          events := !events + c.Workload.c_joins + c.Workload.c_leaves;
-          backlog := !backlog + c.Workload.c_orphan_backlog;
-          Fmt.pf ppf "%-10s %10.2f %12.3f %7d %7d %7d %9.0f %9d %8d %8d@."
-            name micro
-            (churned.Workload.throughput /. static.Workload.throughput)
-            c.Workload.c_joins c.Workload.c_leaves c.Workload.c_reuses
-            c.Workload.c_avg_reuse_latency c.Workload.c_orphaned
-            c.Workload.c_adopted c.Workload.c_orphan_backlog)
-    rows;
-  let micro_of name =
-    List.find_map
-      (fun (n, m, _, _) -> if String.equal n name then Some m else None)
-      rows
-  in
-  let transparent_ok =
-    List.for_all
-      (fun n -> match micro_of n with Some m -> m = 0.0 | None -> false)
-      [ "Hyaline-1"; "Hyaline" ]
-  in
-  let registration_pays =
-    List.for_all
-      (fun n -> match micro_of n with Some m -> m > 0.0 | None -> false)
-      [ "Epoch"; "HP"; "HE"; "IBR" ]
-  in
-  (if List.length rows < 4 then
-     Fmt.pf ppf "@.churn verdict: incomplete (%d/6 schemes)@."
-       (List.length rows)
-   else if transparent_ok && registration_pays && !events >= 2000
-           && !backlog = 0 then
-     Fmt.pf ppf
-       "@.churn verdict: transparent ok (Hyaline register/deregister cost 0, \
-        Epoch %.2f HP %.2f per churn; %d churn events, 0 orphaned retirees \
-        leaked)@."
-       (Option.value ~default:nan (micro_of "Epoch"))
-       (Option.value ~default:nan (micro_of "HP"))
-       !events
-   else
-     Fmt.pf ppf
-       "@.churn verdict: FAIL (transparent_zero=%b registration_pays=%b \
-        events=%d orphan_backlog=%d)@."
-       transparent_ok registration_pays !events !backlog);
-  Fmt.pf ppf "@."
-
-(* -- Service: the open-loop session-cache sweep -------------------------- *)
-
-(* Thin driver over {!Service}: run the sweep, print the SLO table +
-   resident trajectories + greppable verdict line, and hand the artifact
-   back so the CLI can write/validate BENCH_service.json. *)
-let service ?domains ?cache ?on_progress ppf ~scale =
-  let t, stats, wall =
-    Service.collect ?domains ?cache ?on_progress ~scale ()
-  in
-  Service.print ppf t;
-  (* Throughput goes to stdout only, never into BENCH_service.json: the
-     cold- and warm-cache runs must produce byte-identical artifacts. The
-     step count is nominal (budget × executed cells; an OOM cell stops
-     short of its budget). *)
-  (if stats.Executor.executed > 0 && wall > 0.0 then
-     let steps = t.Service.budget * stats.Executor.executed in
-     Fmt.pf ppf
-       "service throughput: %d cells x %d sim steps in %.2fs = %.3e \
-        sim-steps/sec@."
-       stats.Executor.executed t.Service.budget wall
-       (float_of_int steps /. wall)
-   else
-     Fmt.pf ppf "service throughput: all cells cached, no fresh execution@.");
-  (t, stats)
-
 (* -- Figure 10b: trimming with few slots --------------------------------- *)
 
 let fig10b ?domains ?cache ?on_progress ppf ~scale =

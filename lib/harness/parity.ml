@@ -10,18 +10,18 @@
       by a clear margin ([sep_ratio]), the native runtime must order the
       pair the same way (the native side takes the median of several
       repetitions first). Kendall's tau over the full ranking is computed
-      and reported alongside, but only as evidence: pairs inside the
+      per structure and only its mean must be positive: pairs inside the
       noise band cannot flip the verdict, because on a busy single-core
       CI box their wall-clock ranks are coin flips.
     - {b peak-unreclaimed rank}: the no-reclamation [Leaky] baseline must
       top the peak-unreclaimed ranking on {e both} runtimes — the
       count-based half of the verdict, robust to timing noise.
 
-    The [figures.exe parity] driver also runs the {e full} scheme ×
-    structure registry matrix natively (watchdog-guarded, so a livelocked
-    scheme becomes a [timeout] row, not a hung CI job) and emits
-    [BENCH_native.json] — schema-versioned and round-trip validated, the
-    native counterpart of the simulated BENCH reports.
+    The [figures.exe parity] driver ({!Scenario.parity}) also runs the
+    {e full} scheme × structure registry matrix natively (watchdog-guarded,
+    so a livelocked scheme becomes a [timeout] row, not a hung CI job) and
+    emits [BENCH_native.json], the native counterpart of the simulated
+    BENCH reports.
 
     What parity does {e not} prove: absolute magnitudes (cost units are
     not nanoseconds), scalability curves (the container may have one
@@ -109,15 +109,6 @@ type structure_parity = {
   s_peak_ok : bool;  (** Leaky tops peak-unreclaimed on both runtimes *)
 }
 
-type verdict = {
-  v_structures : structure_parity list;
-  v_mean_tau : float;
-  v_sep_total : int;
-  v_sep_agree : int;
-  v_peak_ok : bool;
-  v_agree : bool;
-}
-
 (* The gating metric is concordance over SEPARATED pairs: where the
    simulator claims a >= 1.25x throughput gap, the native runtime must
    order the pair the same way. Those gaps are the paper's comparative
@@ -168,7 +159,7 @@ let structure_parity ~structure rows =
     s_peak_ok = peak_ok_of rows;
   }
 
-let judge (structures : structure_parity list) : verdict =
+let judge (structures : structure_parity list) : Verdict.t =
   let n = max 1 (List.length structures) in
   let mean_tau =
     List.fold_left (fun a s -> a +. s.s_tau) 0.0 structures /. float_of_int n
@@ -179,20 +170,24 @@ let judge (structures : structure_parity list) : verdict =
   let sep_agree =
     List.fold_left (fun a s -> a + s.s_sep_agree) 0 structures
   in
-  let peak_ok =
-    structures <> [] && List.for_all (fun s -> s.s_peak_ok) structures
+  let schemes =
+    match structures with s :: _ -> List.length s.s_rows | [] -> 0
   in
-  {
-    v_structures = structures;
-    v_mean_tau = mean_tau;
-    v_sep_total = sep_total;
-    v_sep_agree = sep_agree;
-    v_peak_ok = peak_ok;
-    v_agree =
-      peak_ok && sep_total > 0
-      && float_of_int sep_agree /. float_of_int sep_total >= conc_threshold
-      && mean_tau > 0.0;
-  }
+  Verdict.of_checks
+    [
+      ( "peak_rank",
+        structures <> [] && List.for_all (fun s -> s.s_peak_ok) structures,
+        "Leaky tops peak-unreclaimed on sim and native in every structure" );
+      ( "concordance",
+        sep_total > 0
+        && float_of_int sep_agree /. float_of_int sep_total >= conc_threshold,
+        Printf.sprintf "%d/%d separated pairs ordered alike (need >= %.2f)"
+          sep_agree sep_total conc_threshold );
+      ( "mean_tau",
+        mean_tau > 0.0,
+        Printf.sprintf "mean tau %.2f > 0 over %d structures x %d schemes"
+          mean_tau (List.length structures) schemes );
+    ]
 
 (* -- measuring the pinned ladder ------------------------------------------ *)
 
@@ -207,7 +202,7 @@ let ladder_schemes = Registry.scheme_names Registry.X86
 let ladder_structures = [ Registry.Hashmap; Registry.List_set ]
 
 let measure_ladder ?cache ?on_progress ~scale ~threads ~ops_per_thread ~reps
-    ~timeout_s () : structure_parity list =
+    ~timeout_s () : structure_parity list * Executor.stats =
   (* Sim side: one plan through the executor, so results cache like any
      other sweep. *)
   let plan =
@@ -238,53 +233,56 @@ let measure_ladder ?cache ?on_progress ~scale ~threads ~ops_per_thread ~reps
         else None)
       summary.Executor.rows
   in
-  List.map
-    (fun structure ->
-      let rows =
-        List.filter_map
-          (fun scheme ->
-            match sim_result structure scheme with
-            | None -> None
-            | Some sim -> (
-                let spec =
-                  {
-                    (spec_for ~domains:threads ~ops_per_thread) with
-                    Native_workload.seed = 42;
-                  }
-                in
-                let runs =
-                  List.init reps (fun rep ->
-                      Native_workload.run_guarded ~timeout_s ~scheme
-                        ~structure
-                        { spec with Native_workload.seed = 42 + rep })
-                in
-                match List.filter_map Result.to_option runs with
-                | [] -> None
-                | oks ->
-                    Some
-                      {
-                        r_scheme = scheme;
-                        r_sim_tput = sim.Workload.throughput;
-                        r_native_ops_s =
-                          median
-                            (List.map
-                               (fun (r : Native_workload.result) ->
-                                 r.Native_workload.ops_per_sec)
-                               oks);
-                        r_sim_peak =
-                          sim.Workload.metrics.Smr.Metrics.peak_unreclaimed;
-                        r_native_peak =
-                          List.fold_left
-                            (fun acc (r : Native_workload.result) ->
-                              max acc
-                                r.Native_workload.metrics
-                                  .Smr.Metrics.peak_unreclaimed)
-                            0 oks;
-                      }))
-          ladder_schemes
-      in
-      structure_parity ~structure rows)
-    ladder_structures
+  let ordering =
+    List.map
+      (fun structure ->
+        let rows =
+          List.filter_map
+            (fun scheme ->
+              match sim_result structure scheme with
+              | None -> None
+              | Some sim -> (
+                  let spec =
+                    {
+                      (spec_for ~domains:threads ~ops_per_thread) with
+                      Native_workload.seed = 42;
+                    }
+                  in
+                  let runs =
+                    List.init reps (fun rep ->
+                        Native_workload.run_guarded ~timeout_s ~scheme
+                          ~structure
+                          { spec with Native_workload.seed = 42 + rep })
+                  in
+                  match List.filter_map Result.to_option runs with
+                  | [] -> None
+                  | oks ->
+                      Some
+                        {
+                          r_scheme = scheme;
+                          r_sim_tput = sim.Workload.throughput;
+                          r_native_ops_s =
+                            median
+                              (List.map
+                                 (fun (r : Native_workload.result) ->
+                                   r.Native_workload.ops_per_sec)
+                                 oks);
+                          r_sim_peak =
+                            sim.Workload.metrics.Smr.Metrics.peak_unreclaimed;
+                          r_native_peak =
+                            List.fold_left
+                              (fun acc (r : Native_workload.result) ->
+                                max acc
+                                  r.Native_workload.metrics
+                                    .Smr.Metrics.peak_unreclaimed)
+                              0 oks;
+                        }))
+            ladder_schemes
+        in
+        structure_parity ~structure rows)
+      ladder_structures
+  in
+  (ordering, summary.Executor.stats)
 
 (* -- native micro-benchmarks (Bechamel-style ns/call) --------------------- *)
 
@@ -357,37 +355,13 @@ let micro_all ?quota_s () : micro list =
       })
     Registry.Native.every_scheme
 
-(* -- BENCH_native.json ----------------------------------------------------- *)
-
-let schema_version = 1
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
-let write_file path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* -- the parity scenario ------------------------------------------------- *)
 
 type report = {
-  p_name : string;
   p_domains : int;
   p_matrix : nrow list;
   p_ordering : structure_parity list;
   p_micro : micro list;
-  p_verdict : verdict;
 }
 
 let nrow_to_json (r : nrow) =
@@ -403,29 +377,6 @@ let nrow_to_json (r : nrow) =
     | Ok res -> [ ("result", Native_workload.result_to_json res) ]
     | Error msg -> [ ("error", Json.String msg) ])
 
-let nrow_of_json j =
-  let open Json in
-  let structure =
-    match
-      Registry.structure_of_name (to_str (member_exn "structure" j))
-    with
-    | Some s -> s
-    | None -> raise (Parse_error "nrow: unknown structure")
-  in
-  {
-    n_cell =
-      {
-        n_scheme = to_str (member_exn "scheme" j);
-        n_structure = structure;
-        n_domains = to_int (member_exn "domains" j);
-      };
-    n_outcome =
-      (match member "error" j with
-      | Some e -> Error (to_str e)
-      | None ->
-          Ok (Native_workload.result_of_json (member_exn "result" j)));
-  }
-
 let pair_row_to_json r =
   Json.Obj
     [
@@ -435,16 +386,6 @@ let pair_row_to_json r =
       ("sim_peak_unreclaimed", Json.Int r.r_sim_peak);
       ("native_peak_unreclaimed", Json.Int r.r_native_peak);
     ]
-
-let pair_row_of_json j =
-  let open Json in
-  {
-    r_scheme = to_str (member_exn "scheme" j);
-    r_sim_tput = to_float (member_exn "sim_throughput" j);
-    r_native_ops_s = to_float (member_exn "native_ops_per_sec" j);
-    r_sim_peak = to_int (member_exn "sim_peak_unreclaimed" j);
-    r_native_peak = to_int (member_exn "native_peak_unreclaimed" j);
-  }
 
 let structure_parity_to_json s =
   Json.Obj
@@ -457,24 +398,6 @@ let structure_parity_to_json s =
       ("rows", Json.List (List.map pair_row_to_json s.s_rows));
     ]
 
-let structure_parity_of_json j =
-  let open Json in
-  let structure =
-    match
-      Registry.structure_of_name (to_str (member_exn "structure" j))
-    with
-    | Some s -> s
-    | None -> raise (Parse_error "ordering: unknown structure")
-  in
-  {
-    s_structure = structure;
-    s_tau = to_float (member_exn "tau" j);
-    s_sep_total = to_int (member_exn "separated_pairs" j);
-    s_sep_agree = to_int (member_exn "separated_agree" j);
-    s_peak_ok = to_bool (member_exn "peak_ok" j);
-    s_rows = List.map pair_row_of_json (to_list (member_exn "rows" j));
-  }
-
 let micro_to_json m =
   Json.Obj
     [
@@ -484,71 +407,23 @@ let micro_to_json m =
       ("retire_ns", Json.Float m.m_retire_ns);
     ]
 
-let micro_of_json j =
-  let open Json in
-  {
-    m_scheme = to_str (member_exn "scheme" j);
-    m_enter_leave_ns = to_float (member_exn "enter_leave_ns" j);
-    m_protect_ns = to_float (member_exn "protect_ns" j);
-    m_retire_ns = to_float (member_exn "retire_ns" j);
-  }
-
-let report_to_json (p : report) =
+(* The BENCH_native.json body; the envelope adds the verdict. *)
+let body (p : report) =
   Json.Obj
     [
-      ("schema_version", Json.Int schema_version);
-      ("kind", Json.String "native-parity");
-      ("name", Json.String p.p_name);
+      ("name", Json.String "native");
       ("paper", Json.String "Hyaline (PODC 2019)");
       ("domains", Json.Int p.p_domains);
       ("matrix", Json.List (List.map nrow_to_json p.p_matrix));
       ( "ordering",
         Json.List (List.map structure_parity_to_json p.p_ordering) );
       ("micro", Json.List (List.map micro_to_json p.p_micro));
-      ( "verdict",
-        Json.Obj
-          [
-            ("agree", Json.Bool p.p_verdict.v_agree);
-            ("mean_tau", Json.Float p.p_verdict.v_mean_tau);
-            ("separated_pairs", Json.Int p.p_verdict.v_sep_total);
-            ("separated_agree", Json.Int p.p_verdict.v_sep_agree);
-            ("peak_ok", Json.Bool p.p_verdict.v_peak_ok);
-          ] );
     ]
-
-let parse (j : Json.t) : report =
-  let open Json in
-  let v = to_int (member_exn "schema_version" j) in
-  if v <> schema_version then
-    raise
-      (Parse_error
-         (Printf.sprintf "native report: schema_version %d, expected %d" v
-            schema_version));
-  let verdict = member_exn "verdict" j in
-  let ordering =
-    List.map structure_parity_of_json (to_list (member_exn "ordering" j))
-  in
-  {
-    p_name = to_str (member_exn "name" j);
-    p_domains = to_int (member_exn "domains" j);
-    p_matrix = List.map nrow_of_json (to_list (member_exn "matrix" j));
-    p_ordering = ordering;
-    p_micro = List.map micro_of_json (to_list (member_exn "micro" j));
-    p_verdict =
-      {
-        v_structures = ordering;
-        v_agree = to_bool (member_exn "agree" verdict);
-        v_mean_tau = to_float (member_exn "mean_tau" verdict);
-        v_sep_total = to_int (member_exn "separated_pairs" verdict);
-        v_sep_agree = to_int (member_exn "separated_agree" verdict);
-        v_peak_ok = to_bool (member_exn "peak_ok" verdict);
-      };
-  }
 
 (* Structural completeness: every canonical scheme must appear in the
    micro section and in the matrix for every structure that supports it
    — the same "no scheme silently dropped" bar Report.validate sets. *)
-let validate (p : report) : (unit, string) result =
+let coverage (p : report) =
   let has_micro name =
     List.exists (fun m -> String.equal m.m_scheme name) p.p_micro
   in
@@ -559,50 +434,37 @@ let validate (p : report) : (unit, string) result =
         && r.n_cell.n_structure = structure)
       p.p_matrix
   in
-  let missing = ref [] in
-  List.iter
-    (fun name ->
-      if not (has_micro name) then missing := ("micro:" ^ name) :: !missing;
-      List.iter
-        (fun structure ->
-          if
-            Registry.supported structure name
-            && not (has_matrix name structure)
-          then
-            missing :=
-              Printf.sprintf "matrix:%s/%s" name
-                (Registry.structure_name structure)
-              :: !missing)
-        Registry.structures)
-    Registry.every_scheme_name;
-  if !missing <> [] then
-    Error ("missing entries: " ^ String.concat ", " !missing)
-  else if p.p_ordering = [] then Error "empty ordering section"
-  else Ok ()
-
-(* -- driver ---------------------------------------------------------------- *)
-
-let pp_verdict ppf (v : verdict) =
-  let schemes =
-    match v.v_structures with s :: _ -> List.length s.s_rows | [] -> 0
+  let missing =
+    List.concat_map
+      (fun name ->
+        (if has_micro name then [] else [ "micro:" ^ name ])
+        @ List.filter_map
+            (fun structure ->
+              if
+                Registry.supported structure name
+                && not (has_matrix name structure)
+              then
+                Some
+                  (Printf.sprintf "matrix:%s/%s" name
+                     (Registry.structure_name structure))
+              else None)
+            Registry.structures)
+      Registry.every_scheme_name
+    @ if p.p_ordering = [] then [ "ordering" ] else []
   in
-  if v.v_agree then
-    Fmt.pf ppf
-      "parity verdict: agree (peak-rank ok, separated-pair concordance \
-       %d/%d >= %.2f, mean tau=%.2f over %d structures x %d schemes)@."
-      v.v_sep_agree v.v_sep_total conc_threshold v.v_mean_tau
-      (List.length v.v_structures)
-      schemes
-  else
-    Fmt.pf ppf
-      "parity verdict: DISAGREE (peak_ok=%b separated-pair concordance \
-       %d/%d threshold=%.2f mean_tau=%.2f over %d structures x %d schemes)@."
-      v.v_peak_ok v.v_sep_agree v.v_sep_total conc_threshold v.v_mean_tau
-      (List.length v.v_structures)
-      schemes
+  ( "coverage",
+    missing = [],
+    if missing = [] then "every scheme in the matrix, ladder and micro sections"
+    else "missing entries: " ^ String.concat ", " missing )
 
-let run ?cache ?on_progress ?out ?(name = "native") ?(domains = 2)
-    ?(reps = 3) ppf ~scale =
+let judge_report p =
+  let v = judge p.p_ordering in
+  Verdict.of_checks (v.Verdict.checks @ [ coverage p ])
+
+(* 1. the full registry matrix on real domains, watchdog-guarded; 2. the
+   pinned ordering ladder, sim (cached, executor) vs native medians; 3.
+   micro-benchmarks for the drift record. *)
+let collect ?cache ?on_progress ~domains ~reps ~scale () =
   (* Ladder cells must run long enough that scheme overhead, not
      scheduler jitter, decides the throughput ranks — short runs measure
      noise and the tau bar exists to catch real inversions, not that. *)
@@ -611,20 +473,26 @@ let run ?cache ?on_progress ?out ?(name = "native") ?(domains = 2)
     | Plan.Quick -> (300, 10_000, 0.01)
     | Plan.Full -> (2_000, 40_000, 0.05)
   in
-  (* 1. Full registry matrix on real domains, watchdog-guarded. *)
-  let rows = matrix ~domains ~ops_per_thread:matrix_ops () in
+  let p_matrix = matrix ~domains ~ops_per_thread:matrix_ops () in
+  let p_ordering, stats =
+    measure_ladder ?cache ?on_progress ~scale ~threads:domains
+      ~ops_per_thread:ladder_ops ~reps ~timeout_s:120.0 ()
+  in
+  let p_micro = micro_all ~quota_s () in
+  ({ p_domains = domains; p_matrix; p_ordering; p_micro }, stats)
+
+let print ppf p =
   let ok_n =
-    List.length
-      (List.filter (fun r -> Result.is_ok r.n_outcome) rows)
+    List.length (List.filter (fun r -> Result.is_ok r.n_outcome) p.p_matrix)
   in
   Fmt.pf ppf
     "# Native parity — %d worker domain(s), %d schemes x %d structures@.@."
-    domains
+    p.p_domains
     (List.length Registry.Native.every_scheme)
     (List.length Registry.structures);
   Fmt.pf ppf "native matrix: %d supported cells, %d ok, %d failed@."
-    (List.length rows) ok_n
-    (List.length rows - ok_n);
+    (List.length p.p_matrix) ok_n
+    (List.length p.p_matrix - ok_n);
   List.iter
     (fun r ->
       match r.n_outcome with
@@ -633,12 +501,7 @@ let run ?cache ?on_progress ?out ?(name = "native") ?(domains = 2)
           Fmt.pf ppf "  FAIL %s/%s: %s@." r.n_cell.n_scheme
             (Registry.structure_name r.n_cell.n_structure)
             msg)
-    rows;
-  (* 2. Pinned ordering ladder: sim (cached, executor) vs native medians. *)
-  let ordering =
-    measure_ladder ?cache ?on_progress ~scale ~threads:domains
-      ~ops_per_thread:ladder_ops ~reps ~timeout_s:120.0 ()
-  in
+    p.p_matrix;
   List.iter
     (fun s ->
       Fmt.pf ppf "@.## %s — sim vs native@."
@@ -652,10 +515,7 @@ let run ?cache ?on_progress ?out ?(name = "native") ?(domains = 2)
         s.s_rows;
       Fmt.pf ppf "tau=%.2f separated-pairs=%d/%d peak_ok=%b@." s.s_tau
         s.s_sep_agree s.s_sep_total s.s_peak_ok)
-    ordering;
-  let verdict = judge ordering in
-  (* 3. Micro-benchmarks for the drift record. *)
-  let micro = micro_all ~quota_s () in
+    p.p_ordering;
   Fmt.pf ppf "@.## native micro (ns/call)@.";
   Fmt.pf ppf "%-16s %12s %12s %12s@." "scheme" "enter+leave" "protect"
     "alloc+retire";
@@ -663,31 +523,4 @@ let run ?cache ?on_progress ?out ?(name = "native") ?(domains = 2)
     (fun m ->
       Fmt.pf ppf "%-16s %12.1f %12.1f %12.1f@." m.m_scheme
         m.m_enter_leave_ns m.m_protect_ns m.m_retire_ns)
-    micro;
-  Fmt.pf ppf "@.";
-  pp_verdict ppf verdict;
-  (* 4. BENCH_native.json, round-trip validated like every BENCH artifact. *)
-  (match out with
-  | None -> ()
-  | Some dir ->
-      let report =
-        {
-          p_name = name;
-          p_domains = domains;
-          p_matrix = rows;
-          p_ordering = ordering;
-          p_micro = micro;
-          p_verdict = verdict;
-        }
-      in
-      mkdir_p dir;
-      let path = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
-      write_file path (Json.to_string (report_to_json report));
-      let reread = parse (Json.of_string (read_file path)) in
-      (match validate reread with
-      | Ok () ->
-          Fmt.pf ppf "wrote %s: %d matrix rows, schema ok, all schemes \
-                      covered@."
-            path (List.length reread.p_matrix)
-      | Error msg -> Fmt.failwith "invalid native report %s: %s" path msg));
-  verdict
+    p.p_micro

@@ -245,7 +245,7 @@ let waitfree ?(scale = Quick) () =
    stream of short-lived session threads that register, run a small burst
    of operations, deregister and leave. Each cell runs >= 2000 join/leave
    events; the paired static cell (same everything, no churn) is the
-   baseline the churn-overhead delta in {!Figures.churn} is taken
+   baseline the churn-overhead delta in {!Scenario.churn} is taken
    against. Hyaline-1's registration is a no-op (the paper's §2.4
    transparency claim), so its delta collapses to the sessions' own
    operations; EBR/HP/HE/IBR additionally pay their per-thread
@@ -280,7 +280,7 @@ let churn_sweep ?(scale = Quick) () =
    protocol. Non-robust Epoch cannot reclaim past the stalled readers:
    its resident bytes climb toward the budget (and over it, OOMing the
    cell) while robust Hyaline-S plateaus and keeps serving with a bounded
-   sojourn tail — the contrast {!Figures.service} turns into a verdict.
+   sojourn tail — the contrast {!Scenario.service} turns into a verdict.
    A periodic background reclaimer thread gives every scheme its best
    shot at draining limbo between requests. *)
 let service_sweep ?(scale = Quick) () =

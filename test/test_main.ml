@@ -26,4 +26,5 @@ let () =
       ("mem", Test_mem.suite);
       ("executor", Test_executor.suite);
       ("service", Test_service.suite);
+      ("scenario", Test_scenario.suite);
     ]

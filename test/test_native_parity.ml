@@ -9,6 +9,7 @@ module Executor = Smr_harness.Executor
 module Workload = Smr_harness.Workload
 module NW = Smr_harness.Native_workload
 module Parity = Smr_harness.Parity
+module Verdict = Smr_harness.Verdict
 module Native = Smr_runtime.Native_runtime
 
 let small_spec ~threads ~ops =
@@ -223,7 +224,7 @@ let test_judge_agrees () =
   Alcotest.(check (float 1e-9)) "perfect ordering" 1.0 sp.Parity.s_tau;
   Alcotest.(check bool) "Leaky tops both peaks" true sp.Parity.s_peak_ok;
   let v = Parity.judge [ sp ] in
-  Alcotest.(check bool) "verdict agrees" true v.Parity.v_agree
+  Alcotest.(check bool) "verdict agrees" true v.Verdict.ok
 
 let test_judge_rejects_inverted_ranks () =
   let inverted =
@@ -236,7 +237,7 @@ let test_judge_rejects_inverted_ranks () =
     Parity.judge [ Parity.structure_parity ~structure:Registry.Hashmap inverted ]
   in
   Alcotest.(check bool) "anti-correlated throughput fails" false
-    v.Parity.v_agree
+    v.Verdict.ok
 
 let test_judge_rejects_leaky_not_topping () =
   let bad =
@@ -251,9 +252,9 @@ let test_judge_rejects_leaky_not_topping () =
     Parity.judge [ Parity.structure_parity ~structure:Registry.Hashmap bad ]
   in
   Alcotest.(check bool) "peak anchor broken on native side" false
-    v.Parity.v_agree;
+    v.Verdict.ok;
   Alcotest.(check bool) "empty matrix never agrees" false
-    (Parity.judge []).Parity.v_agree
+    (Parity.judge []).Verdict.ok
 
 (* The pinned small matrix, for real: Leaky / Epoch / Hyaline on the hash
    map, simulator vs native. Only the count-based half of the verdict is

@@ -165,8 +165,10 @@ let test_enter_leave_allocation () =
    8 nodes per bracket, measured after warm-up brackets have filled the
    batch pool and grown the pending buffer, so every minor word is the
    node itself plus what enter, leave, alloc, retire, seal, insertion and
-   traverse add per pair. Each bound is the scheme's measured cost; a
-   closure or a returned tuple on any of those paths pushes it over. *)
+   traverse add per pair — or, for the four limbo baselines, what the
+   limbo push and each scan's snapshot and partition add. Each bound is
+   the scheme's measured cost; a closure or a returned tuple on any of
+   those paths pushes it over. *)
 let test_retire_allocation () =
   let pairs = 200_000 and per_bracket = 8 in
   List.iter
@@ -203,6 +205,10 @@ let test_retire_allocation () =
       ("hyaline-1s", 15.625, (module N_hyaline1s));
       ("crystalline-l", 15.625, (module N_crystalline_l));
       ("crystalline-w", 16.25, (module N_crystalline_w));
+      ("epoch", 28.25, (module N_ebr));
+      ("hp", 20.5, (module N_hp));
+      ("he", 26.625, (module N_he));
+      ("ibr", 37.875, (module N_ibr));
     ]
 
 (* Batch-record pool: every domain that frees a batch pushes its record

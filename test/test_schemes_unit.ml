@@ -456,9 +456,61 @@ let test_directory_charged_ops () =
         [ 7; 0; 0; 2; 0; 0; 0; 0 ], [ 8; 0; 1; 1; 0; 2; 0; 0 ] );
     ]
 
+(* ---- Scan policy of the four limbo baselines. A lone thread with
+   [batch_size = 4] and [era_freq = 1] protects its first node, then
+   retires that node and eleven fresh ones (3 x batch_size). HP scans
+   whenever its limbo holds [batch_size] nodes, so the hazarded survivor
+   counts toward the next trigger; Epoch, HE and IBR scan every
+   [batch_size] retires, survivors or not. Epoch's own reservation pins
+   every node it retires; HE's published era and IBR's interval cover
+   only the protected node's lifespan. Pins the scan count, the nodes
+   scanned and the charged op classes of the twelve retires. *)
+let scan_policy_counts (module S : SMR) =
+  let cfg =
+    { (test_cfg ~threads:1) with Smr.Smr_intf.batch_size = 4; era_freq = 1 }
+  in
+  run_solo (fun () ->
+      let t = S.create cfg in
+      let g = S.enter t in
+      let pinned = S.alloc t 0 in
+      let cell = Sim.Atomic.make (Some pinned) in
+      ignore
+        (S.protect t g ~idx:0
+           ~read:(fun () -> Sim.Atomic.get cell)
+           ~target:(fun o -> o));
+      let nodes = pinned :: List.init 11 (fun i -> S.alloc t (i + 1)) in
+      let before = Cell.snapshot_counts () in
+      List.iter (S.retire t g) nodes;
+      let ops =
+        classes (Cell.diff_counts ~now:(Cell.snapshot_counts ()) ~past:before)
+      in
+      let m = S.metrics t in
+      let series name =
+        Option.value (Smr.Metrics.series_value m name) ~default:(-1)
+      in
+      S.leave t g;
+      (series "scans", series "scanned_nodes", ops))
+
+let test_limbo_scan_policy () =
+  List.iter
+    (fun (name, m, scans, scanned, ops) ->
+      let got_scans, got_scanned, got_ops = scan_policy_counts m in
+      Alcotest.(check int) (name ^ ": scans") scans got_scans;
+      Alcotest.(check int) (name ^ ": scanned_nodes") scanned got_scanned;
+      Alcotest.(check (list int))
+        (name ^ ": per-class op counts of the twelve retires")
+        ops got_ops)
+    [
+      ("Epoch", (module Ebr : SMR), 3, 24, [ 21; 0; 0; 1; 0; 0; 0; 0 ]);
+      ("HP", (module Hp : SMR), 3, 12, [ 24; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("HE", (module He : SMR), 3, 14, [ 36; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("IBR", (module Ibr : SMR), 3, 14, [ 18; 0; 0; 0; 0; 0; 0; 0 ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "ebr-blocking" `Quick test_ebr_blocking;
+    Alcotest.test_case "limbo-scan-policy" `Quick test_limbo_scan_policy;
     Alcotest.test_case "hp-hazard-pins" `Quick test_hp_hazard_pins;
     Alcotest.test_case "hp-protect-validates" `Quick test_hp_protect_validates;
     Alcotest.test_case "ibr-interval-disjoint" `Quick

@@ -85,19 +85,6 @@ cmp "$tmpdir/seq/BENCH_domains.json" "$tmpdir/par/BENCH_domains.json" || {
 diff -r "$tmpdir/seqcache" "$tmpdir/parcache" >/dev/null || {
   echo "domain smoke: parallel cache files differ from sequential"; exit 1; }
 
-# Native parity smoke: the full scheme x structure matrix on real OCaml 5
-# domains (watchdog-guarded), then the pinned sim-vs-native ordering
-# ladder. The driver exits non-zero unless its verdict holds: the native
-# runtime reproduces the simulator's relative scheme ordering
-# (separated-pair concordance + Leaky topping the peak-unreclaimed rank
-# on both runtimes) and the artifact covers every scheme. Its body is
-# wall-clock, so it is not compared with the committed BENCH_native.json.
-echo "==> parity smoke run"
-dune exec bin/figures.exe -- parity --domains 2 --reps 3 \
-  --cache-dir "$tmpdir/cache" -o "$tmpdir" >"$tmpdir/parity.log" || {
-  echo "parity smoke: verdict failed or driver crashed"
-  cat "$tmpdir/parity.log"; exit 1; }
-
 # Verdict scenarios: footprint (stalled Epoch's resident bytes at least
 # double Hyaline-S's), churn (Hyaline's register/deregister costs nothing,
 # every registration scheme pays, no orphan leaks), service (Hyaline-S
@@ -156,6 +143,33 @@ grep -q "rows identical" "$tmpdir/selfbench.log" || {
   echo "selfbench smoke: parallel sweep rows diverged from sequential"
   exit 1; }
 
+# Allocation gate: the smoke selfbench's retire section must not allocate
+# more than 1.1x the committed baseline's minor words per retired node —
+# the hard floor under the allocation-free retire path (DESIGN.md §15).
+# bench_diff also prints the full section-by-section delta into the log.
+echo "==> bench diff vs committed baseline (allocation gate)"
+dune exec tools/bench_diff.exe -- BENCH_simperf.json \
+  "$tmpdir/BENCH_smoke.json" retire:minor_words_per_op:1.1 || {
+  echo "bench diff: retire-path allocation regressed past baseline x1.1"
+  exit 1; }
+
+# The two wall-clock stages, the parity smoke and the speedup
+# expectation, run last: a timing miss on a shared or small machine then
+# cannot hide the deterministic gates above.
+#
+# Native parity smoke: the full scheme x structure matrix on real OCaml 5
+# domains (watchdog-guarded), then the pinned sim-vs-native ordering
+# ladder. The driver exits non-zero unless its verdict holds: the native
+# runtime reproduces the simulator's relative scheme ordering
+# (separated-pair concordance + Leaky topping the peak-unreclaimed rank
+# on both runtimes) and the artifact covers every scheme. Its body is
+# wall-clock, so it is not compared with the committed BENCH_native.json.
+echo "==> parity smoke run"
+dune exec bin/figures.exe -- parity --domains 2 --reps 3 \
+  --cache-dir "$tmpdir/cache" -o "$tmpdir" >"$tmpdir/parity.log" || {
+  echo "parity smoke: verdict failed or driver crashed"
+  cat "$tmpdir/parity.log"; exit 1; }
+
 # Parallel-sweep speedup expectation: with at least two cores the 2-domain
 # sweep must actually be faster than sequential. The selfbench line
 # records the core count, so a single-core CI box skips the expectation
@@ -170,15 +184,5 @@ else
     echo "selfbench smoke: parallel sweep speedup ${speedup}x < 1.1x on $cores cores"
     exit 1; }
 fi
-
-# Allocation gate: the smoke selfbench's retire section must not allocate
-# more than 1.1x the committed baseline's minor words per retired node —
-# the hard floor under the allocation-free retire path (DESIGN.md §15).
-# bench_diff also prints the full section-by-section delta into the log.
-echo "==> bench diff vs committed baseline (allocation gate)"
-dune exec tools/bench_diff.exe -- BENCH_simperf.json \
-  "$tmpdir/BENCH_smoke.json" retire:minor_words_per_op:1.1 || {
-  echo "bench diff: retire-path allocation regressed past baseline x1.1"
-  exit 1; }
 
 echo "==> all checks passed"

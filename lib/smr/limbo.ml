@@ -75,6 +75,12 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     f.orphans <- ns @ f.orphans;
     Mutex.unlock f.orphan_lock
 
+  (* The DEBRA handoff: nodes a departed thread can no longer wait out go
+     to the global orphan list for the next scan to adopt. *)
+  let hand_off f ns =
+    Metrics.Counter.add f.m_orphaned (List.length ns);
+    give_orphans f ns
+
   (* Move the global orphan list into this slot's limbo so the scan frees
      whatever the reservations allow. Uncosted bookkeeping. *)
   let adopt f sid =
@@ -91,19 +97,30 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       (fun n -> Lifecycle.on_free ~scheme:f.scheme (f.cell n) f.counters)
       ns
 
-  (* Adopt the orphans, take the charged snapshot (the O(n) or O(mn)
-     reads of Table 1), then free every limbo node it does not reserve. *)
+  (* Adopt the orphans, detach the slot's limbo, take the charged
+     snapshot (the O(n) or O(mn) reads of Table 1), then free every
+     detached node it does not reserve. The snapshot's reads yield, and
+     [relieve] scans other threads' slots, so the slot's owner may retire
+     meanwhile: a node retired after the snapshot began may be reserved
+     by a reader whose publication the snapshot missed, so only the
+     detached nodes are judged. The survivors go back ahead of whatever
+     was retired meanwhile — or, if the owner deregistered during the
+     snapshot (finding its limbo detached, it had nothing to hand off),
+     to the orphan list. *)
   let scan f sid =
     Metrics.Counter.incr f.m_scans;
     adopt f sid;
     Metrics.Counter.add f.m_scanned f.limbo_len.(sid);
+    let detached = f.limbo.(sid) in
+    f.limbo.(sid) <- [];
     f.advance ();
-    (* Bind the test first: OCaml evaluates arguments right to left, and
-       the limbo must be read after the snapshot's yields, not before. *)
-    let reserved = f.snapshot () in
-    let keep, free = List.partition reserved f.limbo.(sid) in
-    f.limbo.(sid) <- keep;
-    f.limbo_len.(sid) <- List.length keep;
+    let keep, free = List.partition (f.snapshot ()) detached in
+    (match (keep, f.limbo.(sid)) with
+    | [], _ -> ()
+    | _ when not (Slot_registry.is_live f.reg sid) -> hand_off f keep
+    | _, [] -> f.limbo.(sid) <- keep
+    | _, newer -> f.limbo.(sid) <- keep @ newer);
+    f.limbo_len.(sid) <- List.length f.limbo.(sid);
     free_all f free
 
   let create ~scheme ~cell ~clear ~tag ~advance ~snapshot ~trigger
@@ -184,12 +201,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     (match f.limbo.(sid) with
     | [] -> ()
     | survivors ->
-        (* The DEBRA handoff: nodes this thread can no longer wait out go
-           to the global orphan list for the next scan to adopt. *)
         f.limbo.(sid) <- [];
         f.limbo_len.(sid) <- 0;
-        Metrics.Counter.add f.m_orphaned (List.length survivors);
-        give_orphans f survivors);
+        hand_off f survivors);
     f.since_scan.(sid) <- 0;
     Slot_registry.release f.reg s
 

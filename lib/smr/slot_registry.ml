@@ -140,6 +140,10 @@ let release t (s : slot) =
         t.tid_map.(s.tid) <- -1;
       Metrics.Counter.incr t.m_deregistered)
 
+(* Unlocked, like [iter_live]: a scan that yielded asks whether the slot
+   it is scanning still has an occupant. *)
+let is_live t id = t.live.(id)
+
 (* Ascending slot-id order: scans must read reservation cells in a
    deterministic order for the simulator's schedules to be reproducible. *)
 let iter_live t f =

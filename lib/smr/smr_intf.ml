@@ -190,7 +190,14 @@ module type SMR = sig
       padding with dummy allocations the way [flush] does (padding under
       memory pressure would recurse into the very allocator the reclaimer
       exists to relieve). Unlike [flush] it does not assume quiescence and
-      leaves orphan handoff to the normal scan path. *)
+      leaves orphan handoff to the normal scan path.
+
+      Invariant: a scan frees only nodes retired before its snapshot
+      began. A baseline scan of another thread's slot yields while it
+      reads the reservations, and the slot's owner may retire meanwhile;
+      such a node is kept for a later scan, since a reader may have
+      protected it after the snapshot read that reader's reservation
+      (DESIGN.md §13). *)
 
   val stats : 'a t -> stats
   (** Thin compatibility view of {!metrics}. *)

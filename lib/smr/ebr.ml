@@ -19,14 +19,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   let inactive = max_int
 
-  type 'a node = {
-    payload : 'a;
-    state : Lifecycle.cell;
-    mutable retire_epoch : int;
-  }
+  type 'a node = { payload : 'a; state : Lifecycle.cell }
 
   type 'a t = {
-    front : 'a node F.t;
+    (* Limbo entries are (retire_epoch, node), newest first. *)
+    front : ('a node, int * 'a node) F.t;
     epoch : int R.Atomic.t;
     reservations : int R.Atomic.t array;  (* slot-indexed *)
     m_epoch_advances : Metrics.Counter.t;
@@ -80,25 +77,25 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     in
     let snapshot () =
       let horizon = oldest_reservation reg reservations in
-      fun n -> n.retire_epoch >= horizon
+      fun (re, _) -> re >= horizon
     in
     (* Publish the (inactive) reservation word: the one charged store EBR
        registration costs. *)
     let clear sid = R.Atomic.set reservations.(sid) inactive in
     let front =
       F.create ~scheme:scheme_name ~trigger:Limbo.Every_batch
-        ~cell:(fun n -> n.state)
+        ~cell:(fun (_, n) -> n.state)
         ~clear
-        ~tag:(fun n -> n.retire_epoch <- R.Atomic.get epoch)
+        ~tag:(fun n -> (R.Atomic.get epoch, n))
         ~advance ~snapshot cfg reg
     in
     { front; epoch; reservations; m_epoch_advances }
 
   let alloc ?bytes t payload =
     let bytes = F.alloc_point t.front ~overhead:node_overhead_bytes bytes in
-    { payload; state = F.fresh_cell t.front bytes; retire_epoch = inactive }
+    { payload; state = F.fresh_cell t.front bytes }
 
-  let retire t g n = F.retire t.front g.sid n
+  let retire t g n = F.retire t.front g.sid n.state n
   let register ?tid t = F.register ?tid t.front
   let deregister t s = F.deregister t.front s
   let protect (_ : _ t) (_ : _ guard) ~idx:_ ~read ~target:_ = read ()

@@ -30,7 +30,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   }
 
   type 'a t = {
-    front : 'a node F.t;
+    front : ('a node, 'a node) F.t;
     clock : F.clock;
     reservations : int R.Atomic.t array array;  (* [slot].(idx) = era or none *)
     (* [slot].(idx): the era the slot's owner last published there, or
@@ -80,7 +80,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
      read, the publish, the pointer read and the validating era read;
      later ones charge only the pointer and era reads while the era holds. *)
   let protect t g ~idx ~read ~target:_ =
-    if idx >= t.front.cfg.hp_indices then invalid_arg "He.protect: idx out of range";
+    if idx >= t.front.cfg.hp_indices then
+      invalid_arg "He.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
     let slot = t.reservations.(g.sid).(idx) and owned = t.owned.(g.sid) in
     let era = owned.(idx) in
@@ -129,7 +130,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       F.create ~scheme:scheme_name ~trigger:Limbo.Every_batch
         ~cell:(fun n -> n.state)
         ~clear
-        ~tag:(fun n -> n.retire_era <- R.Atomic.get clock.era)
+        ~tag:(fun n ->
+          n.retire_era <- R.Atomic.get clock.era;
+          n)
         ~advance:ignore
         ~snapshot:(published_eras cfg reg reservations)
         cfg reg
@@ -141,7 +144,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let birth = F.birth_era t.clock in
     { payload; state = F.fresh_cell t.front bytes; birth; retire_era = none }
 
-  let retire t g n = F.retire t.front g.sid n
+  let retire t g n = F.retire t.front g.sid n.state n
   let register ?tid t = F.register ?tid t.front
   let deregister t s = F.deregister t.front s
 

@@ -19,7 +19,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   type 'a node = { payload : 'a; state : Lifecycle.cell }
 
   type 'a t = {
-    front : 'a node F.t;
+    front : ('a node, 'a node) F.t;
     hazards : 'a node option R.Atomic.t array array;  (* [slot].(idx) *)
   }
 
@@ -60,7 +60,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
         | Some _ | None -> protect_attempt slot read target)
 
   let protect t g ~idx ~read ~target =
-    if idx >= t.front.cfg.hp_indices then invalid_arg "Hp.protect: idx out of range";
+    if idx >= t.front.cfg.hp_indices then
+      invalid_arg "Hp.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
     protect_attempt t.hazards.(g.sid).(idx) read target
 
@@ -104,7 +105,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let front =
       F.create ~scheme:scheme_name ~trigger:Limbo.Full_limbo
         ~cell:(fun n -> n.state)
-        ~clear ~tag:ignore ~advance:ignore
+        ~clear ~tag:Fun.id ~advance:ignore
         ~snapshot:(published_hazards cfg reg hazards)
         cfg reg
     in
@@ -114,7 +115,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let bytes = F.alloc_point t.front ~overhead:node_overhead_bytes bytes in
     { payload; state = F.fresh_cell t.front bytes }
 
-  let retire t g n = F.retire t.front g.sid n
+  let retire t g n = F.retire t.front g.sid n.state n
   let register ?tid t = F.register ?tid t.front
   let deregister t s = F.deregister t.front s
 

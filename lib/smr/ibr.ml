@@ -27,7 +27,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   }
 
   type 'a t = {
-    front : 'a node F.t;
+    front : ('a node, 'a node) F.t;
     clock : F.clock;
     lower : int R.Atomic.t array;  (* slot-indexed *)
     upper : int R.Atomic.t array;
@@ -106,7 +106,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       F.create ~scheme:scheme_name ~trigger:Limbo.Every_batch
         ~cell:(fun n -> n.state)
         ~clear
-        ~tag:(fun n -> n.retire_era <- R.Atomic.get clock.era)
+        ~tag:(fun n ->
+          n.retire_era <- R.Atomic.get clock.era;
+          n)
         ~advance:ignore
         ~snapshot:(published_intervals reg lower upper)
         cfg reg
@@ -118,7 +120,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let birth = F.birth_era t.clock in
     { payload; state = F.fresh_cell t.front bytes; birth; retire_era = none }
 
-  let retire t g n = F.retire t.front g.sid n
+  let retire t g n = F.retire t.front g.sid n.state n
   let register ?tid t = F.register ?tid t.front
   let deregister t s = F.deregister t.front s
 

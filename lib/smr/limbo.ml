@@ -15,8 +15,9 @@
     at {!Make.create}, so no closure is built per call:
     - [clear sid]: the charged publication of an empty reservation row,
       shared by register and deregister;
-    - [tag n]: the charged read that stamps a node at retire time (the
-      epoch or era; nothing for HP), done before the list push;
+    - [tag n]: the limbo entry for a retired node, stamped with the
+      charged read of the epoch or era (nothing for HP) before the list
+      push;
     - [advance ()]: the charged step a scan takes before its snapshot
       (Epoch's epoch-advance attempt; nothing for the others);
     - [snapshot ()]: the charged reservation reads, returning the pure
@@ -31,27 +32,32 @@ type trigger =
           last scan included (HP) *)
 
 module Make (R : Smr_runtime.Runtime_intf.S) = struct
-  type 'n t = {
+  (* ['n] is the scheme's node, ['e] its limbo entry: the node itself,
+     or Epoch's (retire epoch, node) pair. A tag field in Epoch's node
+     instead of the pair saves 2.4 minor words per retire but costs a
+     word in every node a reader traverses: [native-list] Epoch ran about
+     10% slower with it. *)
+  type ('n, 'e) t = {
     cfg : Smr_intf.config;
     scheme : string;
     counters : Lifecycle.counters;
     reg : Slot_registry.t;
     (* Hooks, fixed at [create]. *)
-    cell : 'n -> Lifecycle.cell;
+    cell : 'e -> Lifecycle.cell;
     clear : int -> unit;
-    tag : 'n -> unit;
+    tag : 'n -> 'e;
     advance : unit -> unit;
-    snapshot : unit -> 'n -> bool;
+    snapshot : unit -> 'e -> bool;
     trigger : trigger;
     (* Slot-local retire lists, newest first, with their lengths and the
        retires since the last scan. *)
-    limbo : 'n list array;
+    limbo : 'e list array;
     limbo_len : int array;
     since_scan : int array;
     (* Limbo nodes handed off by departed threads (deregister could not
        free them); adopted by the next scan. Plain state under a mutex:
        uncosted, so adoption never perturbs the schedule. *)
-    mutable orphans : 'n list;
+    mutable orphans : 'e list;
     orphan_lock : Mutex.t;
     mutable on_pressure : unit -> unit;
         (* budget relief, one own-thread scan: built once at [create] so
@@ -169,15 +175,17 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     Lifecycle.on_alloc_hot ~bytes ~relieve:f.on_pressure ~scheme:f.scheme
       f.counters
 
-  let retire f sid n =
-    Lifecycle.on_retire ~scheme:f.scheme (f.cell n) f.counters;
+  (* [cell] is [n]'s lifecycle cell: the retire is counted before the
+     tag's yield, where every sampled [unreclaimed] has always seen it. *)
+  let retire f sid cell n =
+    Lifecycle.on_retire ~scheme:f.scheme cell f.counters;
     (* Tag the node (a charged read, hence a yield point) before touching
        the limbo list: with a background reclaimer scanning this slot
        mid-run, capturing the list on the left of the cons and writing it
        back after the yield would resurrect nodes the reclaimer just
        freed. *)
-    f.tag n;
-    f.limbo.(sid) <- n :: f.limbo.(sid);
+    let e = f.tag n in
+    f.limbo.(sid) <- e :: f.limbo.(sid);
     f.limbo_len.(sid) <- f.limbo_len.(sid) + 1;
     match f.trigger with
     | Full_limbo -> if f.limbo_len.(sid) >= f.cfg.batch_size then scan f sid

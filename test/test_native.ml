@@ -205,7 +205,7 @@ let test_retire_allocation () =
       ("hyaline-1s", 15.625, (module N_hyaline1s));
       ("crystalline-l", 15.625, (module N_crystalline_l));
       ("crystalline-w", 16.25, (module N_crystalline_w));
-      ("epoch", 28.25, (module N_ebr));
+      ("epoch", 30.625, (module N_ebr));
       ("hp", 20.5, (module N_hp));
       ("he", 26.625, (module N_he));
       ("ibr", 37.875, (module N_ibr));

@@ -65,8 +65,7 @@ let profile_term =
       & info [ "profile" ]
           ~doc:
             "Collect per-phase wall-clock timings (prefill, measured run, \
-             cache IO) and print them to stderr on exit. $(b,bench) also \
-             embeds a \"profile\" section in the JSON report.")
+             cache IO) and print them to stderr on exit.")
   in
   Term.(
     const (fun p ->
@@ -177,62 +176,6 @@ let point_cmd =
     Term.(
       const run $ ds $ scheme $ threads $ stalled $ reads $ node_bytes
       $ budget_bytes $ profile_term $ scale_term)
-
-let bench_cmd =
-  let doc =
-    "Sweep schemes x structures x thread counts and write BENCH_<name>.json \
-     — the repo's canonical machine-readable perf artifact."
-  in
-  let name_t =
-    Arg.(
-      value & opt string "quick"
-      & info [ "n"; "name" ] ~doc:"Report name (file is BENCH_<name>.json).")
-  in
-  let structures =
-    Arg.(
-      value
-      & opt_all ds_conv [ Registry.Hashmap ]
-      & info [ "d"; "ds" ] ~doc:"Structures to sweep (repeatable).")
-  in
-  let thread_counts =
-    Arg.(
-      value & opt_all int [ 2; 8 ]
-      & info [ "t"; "threads" ] ~doc:"Thread counts to sweep (repeatable).")
-  in
-  let dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output-dir" ] ~doc:"Directory for the report file.")
-  in
-  let run name structures thread_counts dir profile domains cache on_progress
-      scale =
-    let report, stats =
-      Smr_harness.Report.collect ?domains ?cache ?on_progress ~name
-        ~arch:Registry.X86 ~scale ~structures ~thread_counts ()
-    in
-    let extra =
-      match Smr_harness.Profile.to_json () with
-      | Some j -> [ ("profile", j) ]
-      | None -> []
-    in
-    let path = Smr_harness.Report.write ?dir ~extra report in
-    Fmt.pr "%a@." Executor.pp_stats stats;
-    profile_report profile;
-    (* Self-check: re-read the artifact, parse it against the schema, and
-       assert it covers the full registry — CI keys off this. *)
-    let parsed = Smr_harness.Report.parse (Smr_harness.Scenario.read_json path) in
-    match Smr_harness.Report.validate parsed with
-    | Ok () ->
-        Fmt.pr "wrote %s: %d runs, schema ok, all schemes covered@." path
-          (List.length parsed.Smr_harness.Report.p_points)
-    | Error msg ->
-        Fmt.epr "invalid report %s: %s@." path msg;
-        exit 1
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(
-      const run $ name_t $ structures $ thread_counts $ dir $ profile_term
-      $ domains_term $ cache_term $ progress_term $ scale_term)
 
 let verify_cmd =
   let doc =
@@ -500,7 +443,6 @@ let () =
       Cmd.v (Cmd.info "table1" ~doc:"Table 1: scheme comparison.")
         Term.(const (fun () -> table1 Fmt.stdout) $ const ());
       point_cmd;
-      bench_cmd;
       verify_cmd;
     ]
     @ List.map scenario_cmd Smr_harness.Scenario.all

@@ -294,7 +294,8 @@ let read_file path =
 
 let write_file path text =
   (* Write-then-rename: an interrupted sweep never leaves a truncated
-     cache entry behind, only a stale .tmp that is overwritten next time. *)
+     cache entry or artifact behind, only a stale .tmp that is overwritten
+     next time. *)
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect

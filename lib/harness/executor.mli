@@ -89,7 +89,7 @@ val print_progress : Format.formatter -> progress -> unit
 val pp_stats : Format.formatter -> stats -> unit
 (** Prints [sweep: total=%d executed=%d cache_hits=%d failed=%d], plus a
     ["(100% cached)"] suffix when every cell was a hit — the line
-    [tools/check.sh] greps in the cache-resume smoke. *)
+    [tools/check.sh]'s scenario loop greps on its cold and warm passes. *)
 
 (* -- result serialization (the cache payload) --------------------------- *)
 
@@ -103,3 +103,20 @@ val metrics_of_json : Json.t -> Smr.Metrics.snapshot
 (** The metrics-snapshot component of the cache payload, exposed so the
     native harness ({!Native_workload}, {!Parity}) serializes snapshots
     in exactly the same shape. *)
+
+val sample_to_json : Workload.sample -> Json.t
+(** One timeline sample as [{"at", "resident", "unreclaimed"}] — the
+    cache payload's shape, reused by the scenario artifacts. *)
+
+(* -- files ----------------------------------------------------------------- *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; an existing one (or a
+    concurrent creator) is fine. *)
+
+val read_file : string -> string
+(** The whole file as a string; raises [Sys_error]. *)
+
+val write_file : string -> string -> unit
+(** [write_file path text] writes [path.tmp] and renames it over [path],
+    so an interrupted writer never leaves a truncated [path] behind. *)

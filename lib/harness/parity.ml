@@ -422,7 +422,8 @@ let body (p : report) =
 
 (* Structural completeness: every canonical scheme must appear in the
    micro section and in the matrix for every structure that supports it
-   — the same "no scheme silently dropped" bar Report.validate sets. *)
+   — the same "no scheme silently dropped" bar {!Scenario.micro}'s
+   coverage check sets. *)
 let coverage (p : report) =
   let has_micro name =
     List.exists (fun m -> String.equal m.m_scheme name) p.p_micro

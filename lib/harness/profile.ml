@@ -60,29 +60,6 @@ let add_steps name n =
 
 let ordered () = List.rev !phases
 
-(* JSON section for BENCH reports: [None] while disabled so reports are
-   byte-identical to unprofiled runs unless explicitly asked. *)
-let to_json () =
-  if not !enabled then None
-  else
-    Some
-      (Json.List
-         (List.map
-            (fun p ->
-              Json.Obj
-                [
-                  ("phase", Json.String p.p_name);
-                  ("wall_s", Json.Float p.p_wall);
-                  ("calls", Json.Int p.p_calls);
-                  ("steps", Json.Int p.p_steps);
-                  ( "steps_per_sec",
-                    Json.Float
-                      (if p.p_wall > 0.0 then
-                         float_of_int p.p_steps /. p.p_wall
-                       else 0.0) );
-                ])
-            (ordered ())))
-
 let pp ppf () =
   match ordered () with
   | [] -> Fmt.pf ppf "profile: no phases recorded@."

@@ -2,11 +2,13 @@
     robustness under stalled threads ({!footprint}, {!service} and
     {!waitfree}, the last extending it to Crystalline), transparency under
     thread churn ({!churn}, §2.4), and that the native runtime orders the
-    schemes as the simulator does ({!parity}).
+    schemes as the simulator does ({!parity}). {!micro} is the per-scheme
+    record of why a scheme wins: every bench scheme's full result (op-class
+    costs, latency, lifecycle, series, allocator counters) on one grid.
 
     A scenario runs its sweep ([plan]), judges the rows with a pure
     function that returns named checks ([judge]), prints its tables
-    ([render]) and describes its artifact ([body]). {!run} drives all five
+    ([render]) and describes its artifact ([body]). {!run} drives all six
     the same way: it prints the tables and the verdict, writes the
     envelope [{"schema_version", "kind", "verdict", "body"}] to
     [BENCH_<artifact>.json], re-reads it, and returns the re-read
@@ -49,10 +51,6 @@ let to_json ~kind verdict body =
       ("body", body);
     ]
 
-let read_json path =
-  In_channel.with_open_bin path (fun ic ->
-      Json.of_string (In_channel.input_all ic))
-
 (** Inverse of {!to_json}: [(kind, verdict, body)]. *)
 let of_json j =
   let open Json in
@@ -65,13 +63,13 @@ let of_json j =
 
 (* -- shared sweep plumbing ----------------------------------------------- *)
 
-(* The surviving rows of a sweep as (label, result); failed cells go to
+(* The surviving rows of a sweep as (cell, result); failed cells go to
    stderr (the sweep itself survived them). *)
 let ok_rows ~kind (summary : Executor.summary) =
   List.filter_map
     (fun (r : Executor.row) ->
       match r.Executor.outcome with
-      | Executor.Done res -> Some (r.Executor.cell.Plan.label, res)
+      | Executor.Done res -> Some (r.Executor.cell, res)
       | Executor.Failed msg ->
           Fmt.epr "%s: cell %s failed: %s@." kind r.Executor.cell.Plan.label
             msg;
@@ -115,18 +113,6 @@ let print_timeline ppf ~budget series =
     Fmt.pf ppf "@."
   done
 
-let timeline_json tl =
-  Json.List
-    (List.map
-       (fun (s : Workload.sample) ->
-         Json.Obj
-           [
-             ("at", Json.Int s.Workload.s_at);
-             ("resident", Json.Int s.Workload.s_resident);
-             ("unreclaimed", Json.Int s.Workload.s_unreclaimed);
-           ])
-       tl)
-
 (* The robustness contrast footprint and waitfree share: stalled Epoch's
    final resident bytes at least double those of the robust scheme. *)
 let contrast name ~robust residents =
@@ -144,10 +130,107 @@ type sweep = { budget : int; rows : (string * Workload.result) list }
 
 let run_sweep ~kind plan ctx =
   let summary = execute ctx plan in
-  ({ budget = budget_of plan; rows = ok_rows ~kind summary },
-   summary.Executor.stats)
+  let rows =
+    List.map (fun (c, r) -> (c.Plan.label, r)) (ok_rows ~kind summary)
+  in
+  ({ budget = budget_of plan; rows }, summary.Executor.stats)
 
 let residents sw = List.map (fun (l, r) -> (l, resident r)) sw.rows
+
+(* -- micro: every bench scheme's full result on one grid ------------------ *)
+
+(* The write-heavy hash map at 2 and 8 threads for the x86 bench schemes
+   (the paper's nine plus the Crystalline pair). The artifact keeps each
+   run's whole {!Executor.result_to_json} record, so the op-class costs,
+   latency, lifecycle, series and allocator counters behind a ranking can
+   be read back with {!Executor.result_of_json}. *)
+let micro_schemes = Registry.bench_scheme_names Registry.X86
+
+(* Every bench scheme has a run, and every run carries a scheme-specific
+   series. Input: (scheme, series) per run. *)
+let judge_micro runs =
+  let missing =
+    List.filter (fun s -> not (List.mem_assoc s runs)) micro_schemes
+  in
+  let empty =
+    List.sort_uniq compare
+      (List.filter_map (fun (s, series) -> if series = [] then Some s else None)
+         runs)
+  in
+  Verdict.of_checks
+    [
+      ( "coverage",
+        missing = [],
+        if missing = [] then
+          Printf.sprintf "all %d bench schemes have a run"
+            (List.length micro_schemes)
+        else "missing: " ^ String.concat ", " missing );
+      ( "series",
+        empty = [],
+        if empty = [] then "every run carries a scheme-specific series"
+        else "empty series: " ^ String.concat ", " empty );
+    ]
+
+let micro_plan ctx =
+  let summary =
+    execute ctx
+      (Plan.grid ~name:"micro" ~arch:Registry.X86 ~scale:ctx.scale
+         ~mix:Workload.write_heavy ~schemes:micro_schemes
+         ~structures:[ Registry.Hashmap ] ~threads:[ 2; 8 ] ())
+  in
+  (ok_rows ~kind:"micro" summary, summary.Executor.stats)
+
+let render_micro ppf runs =
+  Fmt.pf ppf "# Micro — write-heavy hash map, x86 bench schemes@.@.";
+  Fmt.pf ppf "%-14s %-8s %7s %10s %10s %8s %10s@." "scheme" "ds" "threads"
+    "throughput" "avg-unrecl" "peak" "cost";
+  List.iter
+    (fun ((c : Plan.cell), (r : Workload.result)) ->
+      Fmt.pf ppf "%-14s %-8s %7d %10.3f %10.1f %8d %10d@." c.Plan.scheme
+        (Registry.structure_name c.Plan.structure)
+        c.Plan.threads r.Workload.throughput r.Workload.avg_unreclaimed
+        r.Workload.peak_unreclaimed
+        (Smr_runtime.Sim_cell.total_cost r.Workload.op_costs))
+    runs
+
+let micro_body runs =
+  Json.Obj
+    [
+      ( "runs",
+        Json.List
+          (List.map
+             (fun ((c : Plan.cell), r) ->
+               Json.Obj
+                 [
+                   ("scheme", Json.String c.Plan.scheme);
+                   ( "structure",
+                     Json.String (Registry.structure_name c.Plan.structure) );
+                   ("threads", Json.Int c.Plan.threads);
+                   ("result", Executor.result_to_json r);
+                 ])
+             runs) );
+    ]
+
+let micro =
+  {
+    kind = "micro";
+    artifact = "micro";
+    doc =
+      "Every x86 bench scheme on the write-heavy hash map at 2 and 8 \
+       threads, with each run's full result: op-class costs, latency, \
+       lifecycle, series and allocator counters.";
+    deterministic = true;
+    plan = micro_plan;
+    judge =
+      (fun runs ->
+        judge_micro
+          (List.map
+             (fun ((c : Plan.cell), (r : Workload.result)) ->
+               (c.Plan.scheme, r.Workload.metrics.Smr.Metrics.series))
+             runs));
+    render = render_micro;
+    body = micro_body;
+  }
 
 (* -- footprint: resident bytes over simulated time ----------------------- *)
 
@@ -204,7 +287,10 @@ let footprint_body sw =
                   :: List.map2
                        (fun n v -> (n, Json.Int v))
                        counter_names (counters r))
-                 @ [ ("timeline", timeline_json r.Workload.timeline) ]))
+                 @ [ ( "timeline",
+                       Json.List
+                         (List.map Executor.sample_to_json
+                            r.Workload.timeline) ) ]))
              sw.rows) );
     ]
 
@@ -589,7 +675,8 @@ let service_row_json r =
         ("resident_final", Json.Int r.resident_final);
         ("resident_hwm", Json.Int r.resident_hwm);
         ("oom_failures", Json.Int r.oom_failures);
-        ("timeline", timeline_json r.timeline);
+        ( "timeline",
+          Json.List (List.map Executor.sample_to_json r.timeline) );
       ])
 
 let service_body t =
@@ -762,7 +849,10 @@ let parity =
     body = Parity.body;
   }
 
-let all = [ Any footprint; Any churn; Any service; Any waitfree; Any parity ]
+let all =
+  [
+    Any micro; Any footprint; Any churn; Any service; Any waitfree; Any parity;
+  ]
 
 (* -- the driver ---------------------------------------------------------- *)
 
@@ -778,12 +868,13 @@ let run ?out ppf ctx (Any sc) =
   match out with
   | None -> verdict.Verdict.ok
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Executor.mkdir_p dir;
       let path = Filename.concat dir ("BENCH_" ^ sc.artifact ^ ".json") in
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc
-            (Json.to_string (to_json ~kind:sc.kind verdict (sc.body data))));
-      let kind, reread, _ = of_json (read_json path) in
+      Executor.write_file path
+        (Json.to_string (to_json ~kind:sc.kind verdict (sc.body data)));
+      let kind, reread, _ =
+        of_json (Json.of_string (Executor.read_file path))
+      in
       if kind <> sc.kind then Fmt.failwith "%s: envelope kind %s" path kind;
       Fmt.pf ppf "wrote %s@." path;
       reread.Verdict.ok

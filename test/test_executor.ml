@@ -56,14 +56,27 @@ let test_hash_stability () =
 (* -- cache round trip ----------------------------------------------------- *)
 
 let test_cache_round_trip () =
-  (* Serialization is a lossless inverse pair... *)
-  let r = Executor.run_cell_exn (tiny ()) in
-  let j = Executor.result_to_json r in
-  let r' = Executor.result_of_json j in
-  Alcotest.(check string)
-    "result_to_json . result_of_json is the identity"
-    (Json.to_string j)
-    (Json.to_string (Executor.result_to_json r'));
+  (* Serialization is a lossless inverse pair, the optional churn section
+     included... *)
+  let churned =
+    Plan.cell
+      ~churn:{ Smr_harness.Workload.sessions = 24; session_ops = 2; lanes = 4 }
+      ~budget:100_000 ~seed:5 ~scheme:"Epoch" ~structure:Registry.Hashmap
+      ~threads:2 ()
+  in
+  let identity what cell =
+    let r = Executor.run_cell_exn cell in
+    let j = Executor.result_to_json r in
+    Alcotest.(check string)
+      (what ^ ": result_to_json . result_of_json is the identity")
+      (Json.to_string j)
+      (Json.to_string (Executor.result_to_json (Executor.result_of_json j)));
+    r
+  in
+  ignore (identity "static" (tiny ()));
+  Alcotest.(check bool)
+    "the churn cell carries a churn section" true
+    ((identity "churn" churned).Smr_harness.Workload.churn <> None);
   (* ... and the cache file write/read path preserves it bit for bit. *)
   with_tmp_dir (fun dir ->
       let plan = { Plan.name = "round-trip"; cells = [ tiny () ] } in

@@ -1,13 +1,11 @@
 (** The metrics subsystem: snapshot determinism, lifecycle invariants,
-    quiescent-flush accounting, scheduler tracing, and the BENCH report
-    JSON round trip. *)
+    quiescent-flush accounting, scheduler tracing, JSON and histograms. *)
 
 open Test_support
 module Metrics = Smr.Metrics
 module Workload = Smr_harness.Workload
 module Histogram = Smr_harness.Histogram
 module Json = Smr_harness.Json
-module Report = Smr_harness.Report
 
 let small_spec =
   {
@@ -175,104 +173,6 @@ let test_tracer_events () =
   ignore (Sched.spawn sched (fun () -> Sched.step 1));
   ignore (Sched.run sched);
   Alcotest.(check int) "no events after removal" before (List.length !log)
-
-(* -- BENCH report round trip --------------------------------------------- *)
-
-let test_report_roundtrip () =
-  let r = run_hashmap (module Hyaline) small_spec in
-  let report =
-    {
-      Report.name = "unit";
-      arch = Smr_harness.Registry.X86;
-      points =
-        [
-          {
-            Report.scheme = "Hyaline";
-            structure = "hashmap";
-            threads = small_spec.Workload.threads;
-            r;
-          };
-        ];
-    }
-  in
-  let j = Report.to_json report in
-  let text = Json.to_string j in
-  (* Printer and parser are inverses on everything the report emits. *)
-  Alcotest.(check bool) "json round trip" true (Json.of_string text = j);
-  let parsed = Report.parse (Json.of_string text) in
-  (match Report.validate ~schemes:[ "Hyaline" ] parsed with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("validate: " ^ e));
-  let p = List.hd parsed.Report.p_points in
-  Alcotest.(check int) "ops survive" r.Workload.ops p.Report.p_ops;
-  Alcotest.(check int) "peak survives" r.Workload.metrics.Metrics.peak_unreclaimed
-    p.Report.p_lifecycle_peak;
-  Alcotest.(check bool)
-    "series survive" true
-    (p.Report.p_series = r.Workload.metrics.Metrics.series);
-  (* Allocator counters ride along in every point. *)
-  Alcotest.(check bool)
-    "mem stats survive" true
-    (p.Report.p_mem = r.Workload.metrics.Metrics.mem);
-  Alcotest.(check bool)
-    "allocations happened" true
-    (p.Report.p_mem.Mem.Mem_intf.fresh_allocs > 0
-    && p.Report.p_mem.Mem.Mem_intf.bytes_hwm > 0);
-  (* Schema v3: the registration section is present in every point and
-     mirrors the scheme's slot-registry series. *)
-  let sv k =
-    Option.value ~default:0
-      (Smr.Metrics.series_value r.Workload.metrics k)
-  in
-  Alcotest.(check int) "registered survives" (sv "registered")
-    p.Report.p_registration.Report.pr_registered;
-  Alcotest.(check int) "slot reuses survive" (sv "slot_reuses")
-    p.Report.p_registration.Report.pr_slot_reuses;
-  Alcotest.(check bool)
-    "static runs registered their threads" true
-    (p.Report.p_registration.Report.pr_registered > 0);
-  Alcotest.(check bool) "no churn section without churn" true
-    (p.Report.p_churn = None);
-  (* Coverage checking must actually bite. *)
-  (match Report.validate ~schemes:[ "Hyaline"; "Epoch" ] parsed with
-  | Ok () -> Alcotest.fail "missing scheme not detected"
-  | Error _ -> ());
-  match Report.parse (Json.of_string "{\"schema_version\": 99}") with
-  | _ -> Alcotest.fail "bad schema_version not detected"
-  | exception Json.Parse_error _ -> ()
-
-(* A churn run's report point carries the full churn section through the
-   emit -> parse round trip (the schema-v3 satellite). *)
-let test_report_churn_roundtrip () =
-  let ch = { Workload.sessions = 24; session_ops = 2; lanes = 4 } in
-  let cell =
-    Smr_harness.Plan.cell ~churn:ch ~budget:100_000 ~seed:5 ~scheme:"Epoch"
-      ~structure:Smr_harness.Registry.Hashmap ~threads:2 ()
-  in
-  let r = Smr_harness.Executor.run_cell_exn cell in
-  let report =
-    {
-      Report.name = "unit-churn";
-      arch = Smr_harness.Registry.X86;
-      points =
-        [ { Report.scheme = "Epoch"; structure = "hashmap"; threads = 2; r } ];
-    }
-  in
-  let parsed = Report.parse (Json.of_string (Json.to_string (Report.to_json report))) in
-  let p = List.hd parsed.Report.p_points in
-  match (r.Workload.churn, p.Report.p_churn) with
-  | Some c, Some pc ->
-      Alcotest.(check int) "joins survive" c.Workload.c_joins
-        pc.Report.pc_joins;
-      Alcotest.(check int) "leaves survive" c.Workload.c_leaves
-        pc.Report.pc_leaves;
-      Alcotest.(check int) "reuses survive" c.Workload.c_reuses
-        pc.Report.pc_slot_reuses;
-      Alcotest.(check int) "backlog survives" c.Workload.c_orphan_backlog
-        pc.Report.pc_orphan_backlog;
-      Alcotest.(check (float 1e-9)) "reuse latency survives"
-        c.Workload.c_avg_reuse_latency pc.Report.pc_avg_reuse_latency
-  | _ -> Alcotest.fail "churn section missing from report point"
 
 let test_histogram () =
   let h = Histogram.create () in
@@ -446,9 +346,6 @@ let suite =
     Alcotest.test_case "peak/lifecycle invariants" `Quick test_peak_invariant;
     Alcotest.test_case "quiescent flush" `Quick test_quiescent_flush;
     Alcotest.test_case "scheduler tracer" `Quick test_tracer_events;
-    Alcotest.test_case "report json round trip" `Quick test_report_roundtrip;
-    Alcotest.test_case "report-churn-roundtrip" `Quick
-      test_report_churn_roundtrip;
     Alcotest.test_case "json large report" `Quick test_json_large_report;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "histogram edge cases" `Quick test_histogram_edges;

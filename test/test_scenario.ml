@@ -2,13 +2,15 @@
     no simulation. For each judge: one input on which every check passes,
     and for each check one input on which that check alone fails, so a
     judge that always answered [ok] (or never did) cannot go unnoticed.
-    Plus the artifact envelope's round trip. *)
+    Plus the artifact envelope's round trip, and the driver writing one
+    artifact end to end. *)
 
 module Scenario = Smr_harness.Scenario
 module Verdict = Smr_harness.Verdict
 module Workload = Smr_harness.Workload
 module Verify = Smr_harness.Verify
 module Json = Smr_harness.Json
+module Executor = Smr_harness.Executor
 
 let failed (v : Verdict.t) =
   List.filter_map (fun (n, b, _) -> if b then None else Some n) v.Verdict.checks
@@ -21,6 +23,25 @@ let fails_only what check v =
   Alcotest.(check (list string)) (what ^ ": only " ^ check ^ " fails")
     [ check ] (failed v);
   Alcotest.(check bool) (what ^ ": verdict fails") false v.Verdict.ok
+
+(* -- micro ---------------------------------------------------------------- *)
+
+let micro_runs ?(override = fun r -> r) () =
+  List.concat_map
+    (fun s -> List.map override [ (s, [ ("scans", 3) ]); (s, [ ("scans", 9) ]) ])
+    Scenario.micro_schemes
+
+let test_micro_judge () =
+  let judge = Scenario.judge_micro in
+  passes "every scheme, every series" (judge (micro_runs ()));
+  fails_only "HE missing" "coverage"
+    (judge (List.filter (fun (s, _) -> s <> "HE") (micro_runs ())));
+  fails_only "Leaky without a series" "series"
+    (judge
+       (micro_runs
+          ~override:(fun (s, series) ->
+            if s = "Leaky" then (s, []) else (s, series))
+          ()))
 
 (* -- footprint ------------------------------------------------------------ *)
 
@@ -194,13 +215,69 @@ let test_envelope_round_trip () =
     verdict'.Verdict.ok;
   Alcotest.(check string) "body" (Json.to_string body) (Json.to_string body');
   Alcotest.(check bool) "no checks never holds" false
-    (Verdict.of_checks []).Verdict.ok
+    (Verdict.of_checks []).Verdict.ok;
+  let future =
+    Json.Obj
+      [
+        ("schema_version", Json.Int (Scenario.schema_version + 1));
+        ("kind", Json.String "churn");
+        ("verdict", Verdict.to_json verdict);
+        ("body", body);
+      ]
+  in
+  match Scenario.of_json future with
+  | _ -> Alcotest.fail "an unsupported schema_version was accepted"
+  | exception Json.Parse_error _ -> ()
+
+(* -- the driver ----------------------------------------------------------- *)
+
+(* [-o DIR] creates missing parents, and the artifact it writes reads back
+   as a whole envelope with nothing left beside it. *)
+let test_run_writes_nested_dir () =
+  let root = Filename.temp_file "hyaline_scenario" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Filename.concat dir "BENCH_micro.json" in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      List.iter
+        (fun d -> if Sys.file_exists d then Sys.rmdir d)
+        [ dir; Filename.dirname dir; root ])
+    (fun () ->
+      let ok =
+        Scenario.run ~out:dir quiet
+          {
+            Scenario.scale = Smr_harness.Plan.Quick;
+            domains = None;
+            cache = None;
+            on_progress = None;
+            reps = 1;
+          }
+          (Scenario.Any Scenario.micro)
+      in
+      Alcotest.(check bool) "micro verdict holds" true ok;
+      Alcotest.(check (list string)) "only the artifact is left"
+        [ "BENCH_micro.json" ]
+        (Array.to_list (Sys.readdir dir));
+      let kind, verdict, body =
+        Scenario.of_json (Json.of_string (Executor.read_file path))
+      in
+      Alcotest.(check string) "kind" "micro" kind;
+      Alcotest.(check bool) "re-read verdict" true verdict.Verdict.ok;
+      Alcotest.(check int) "one run per bench scheme and thread count"
+        (2 * List.length Scenario.micro_schemes)
+        (List.length (Json.to_list (Json.member_exn "runs" body))))
 
 let suite =
   [
+    Alcotest.test_case "micro-judge" `Quick test_micro_judge;
     Alcotest.test_case "footprint-judge" `Quick test_footprint_judge;
     Alcotest.test_case "churn-judge" `Quick test_churn_judge;
     Alcotest.test_case "service-judge" `Quick test_service_judge;
     Alcotest.test_case "waitfree-judge" `Quick test_waitfree_judge;
     Alcotest.test_case "envelope-round-trip" `Quick test_envelope_round_trip;
+    Alcotest.test_case "run-writes-nested-dir" `Quick
+      test_run_writes_nested_dir;
   ]

@@ -18,14 +18,8 @@
 
 module Json = Smr_harness.Json
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load path =
-  try Json.of_string (read_file path) with
+  try Json.of_string (Smr_harness.Executor.read_file path) with
   | Sys_error msg ->
       Printf.eprintf "bench_diff: %s\n" msg;
       exit 2

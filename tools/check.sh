@@ -1,6 +1,6 @@
 #!/bin/sh
 # Repo health gate: build, tests, formatting (when the formatter is
-# installed), and a smoke run of the benchmark report pipeline.
+# installed), and the scenario artifacts against their committed copies.
 #
 # Usage: tools/check.sh  (from anywhere inside the repo)
 set -eu
@@ -44,58 +44,33 @@ else
   echo "==> skipping @fmt (ocamlformat not installed)"
 fi
 
-# Smoke-run the report pipeline. The bench subcommand re-reads the file it
-# wrote, parses it against the schema, and exits non-zero unless every
-# scheme in the registry is covered — so a zero exit here certifies the
-# whole emit -> parse -> validate loop.
-echo "==> bench smoke run"
-dune exec bin/figures.exe -- bench -n check -t 2 -o "$tmpdir" --no-cache
-test -s "$tmpdir/BENCH_check.json"
-
-# Cache-resume smoke: the same tiny plan twice into a shared cache dir.
-# The first pass populates the cache; the second must execute zero cells
-# (the executor's own stats line says so) and reproduce the report byte
-# for byte — certifying the hash -> store -> lookup -> deserialize loop.
-echo "==> cache resume smoke run"
-mkdir "$tmpdir/out1" "$tmpdir/out2"
-dune exec bin/figures.exe -- bench -n resume -t 2 \
-  -o "$tmpdir/out1" --cache-dir "$tmpdir/cache" >"$tmpdir/pass1.log"
-dune exec bin/figures.exe -- bench -n resume -t 2 \
-  -o "$tmpdir/out2" --cache-dir "$tmpdir/cache" >"$tmpdir/pass2.log"
-grep -q "executed=[1-9]" "$tmpdir/pass1.log" || {
-  echo "cache smoke: first pass executed nothing"; exit 1; }
-grep -q "executed=0 " "$tmpdir/pass2.log" || {
-  echo "cache smoke: second pass re-executed cells"; cat "$tmpdir/pass2.log"; exit 1; }
-grep -q "(100% cached)" "$tmpdir/pass2.log" || {
-  echo "cache smoke: second pass was not fully cached"; cat "$tmpdir/pass2.log"; exit 1; }
-cmp "$tmpdir/out1/BENCH_resume.json" "$tmpdir/out2/BENCH_resume.json" || {
-  echo "cache smoke: warm-cache report differs from cold-cache report"; exit 1; }
-
-# Parallel-sweep determinism smoke: the same plan fanned out across 2
-# worker domains must write a byte-identical report AND byte-identical
+# Parallel-sweep determinism smoke: the micro grid fanned out across 2
+# worker domains must write a byte-identical artifact AND byte-identical
 # cache files — ~domains is an implementation detail, not an input.
 echo "==> 2-domain sweep determinism smoke run"
-mkdir "$tmpdir/seq" "$tmpdir/par"
-dune exec bin/figures.exe -- bench -n domains -t 2 -t 4 \
+dune exec bin/figures.exe -- micro \
   -o "$tmpdir/seq" --cache-dir "$tmpdir/seqcache" >/dev/null
-dune exec bin/figures.exe -- bench -n domains -t 2 -t 4 --domains 2 \
+dune exec bin/figures.exe -- micro --domains 2 \
   -o "$tmpdir/par" --cache-dir "$tmpdir/parcache" >/dev/null
-cmp "$tmpdir/seq/BENCH_domains.json" "$tmpdir/par/BENCH_domains.json" || {
-  echo "domain smoke: parallel report differs from sequential"; exit 1; }
+cmp "$tmpdir/seq/BENCH_micro.json" "$tmpdir/par/BENCH_micro.json" || {
+  echo "domain smoke: parallel artifact differs from sequential"; exit 1; }
 diff -r "$tmpdir/seqcache" "$tmpdir/parcache" >/dev/null || {
   echo "domain smoke: parallel cache files differ from sequential"; exit 1; }
 
-# Verdict scenarios: footprint (stalled Epoch's resident bytes at least
+# Verdict scenarios: micro (every bench scheme has a run, each with a
+# scheme-specific series), footprint (stalled Epoch's resident bytes at least
 # double Hyaline-S's), churn (Hyaline's register/deregister costs nothing,
 # every registration scheme pays, no orphan leaks), service (Hyaline-S
 # keeps serving within the SLO while Epoch diverges or OOMs) and waitfree
 # (Crystalline-W bounded in memory and per-op steps). Each driver writes
 # its verdict envelope, re-reads it and exits non-zero unless the verdict
-# holds. A second run over the same cache must execute zero cells and
-# reproduce the artifact byte for byte, and the fresh artifact must equal
-# the committed BENCH_<kind>.json, so a change that moves a schedule
-# cannot leave a stale artifact behind.
-for kind in footprint churn service waitfree; do
+# holds. The first run over an empty cache must execute cells; a second
+# run over the same cache must execute zero cells and reproduce the
+# artifact byte for byte, certifying the hash -> store -> lookup ->
+# deserialize loop. The fresh artifact must equal the committed
+# BENCH_<kind>.json, so a change that moves a schedule cannot leave a
+# stale artifact behind.
+for kind in micro footprint churn service waitfree; do
   echo "==> $kind scenario"
   for pass in cold warm; do
     mkdir "$tmpdir/$kind.$pass"
@@ -104,6 +79,9 @@ for kind in footprint churn service waitfree; do
       echo "$kind: $pass run failed its verdict or crashed"
       cat "$tmpdir/$kind.$pass.log"; exit 1; }
   done
+  grep -q "executed=[1-9]" "$tmpdir/$kind.cold.log" || {
+    echo "$kind: cold run executed nothing"
+    cat "$tmpdir/$kind.cold.log"; exit 1; }
   grep -q "executed=0 .*(100% cached)" "$tmpdir/$kind.warm.log" || {
     echo "$kind: warm run was not fully cached"
     cat "$tmpdir/$kind.warm.log"; exit 1; }

@@ -57,7 +57,7 @@ let micro_tests () =
              ignore
                (S.protect t g ~idx:0
                   ~read:(fun () -> Native.Atomic.get cell)
-                  ~target:(fun o -> o))))
+                  ~target:Smr.Smr_intf.of_option)))
     in
     let retire =
       let g = S.enter t in

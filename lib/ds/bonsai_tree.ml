@@ -33,10 +33,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
      closure returns the cached node; era-based schemes still advance their
      reservation, which is all the protection a snapshot traversal needs. *)
   let deref t g node =
-    ignore
-      (S.protect t.smr g ~idx:0
-         ~read:(fun () -> Some node)
-         ~target:(fun n -> n));
+    ignore (S.protect t.smr g ~idx:0 ~read:(fun () -> node) ~target:Fun.id);
     S.data node
 
   let mk t key l r =
@@ -170,14 +167,14 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     go
       (S.protect t.smr g ~idx:0
          ~read:(fun () -> A.get t.root)
-         ~target:(fun n -> n))
+         ~target:Smr.Smr_intf.of_option)
 
   let update_root t g compute =
     let rec attempt () =
       let snapshot =
         S.protect t.smr g ~idx:0
           ~read:(fun () -> A.get t.root)
-          ~target:(fun n -> n)
+          ~target:Smr.Smr_intf.of_option
       in
       let retired = ref [] in
       match compute retired snapshot with

@@ -48,11 +48,24 @@ module type CONC_SET = sig
   (** Full metrics view of the underlying scheme (see {!Smr.Metrics}). *)
 end
 
-let same_opt a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | None, Some _ | Some _, None -> false
+(** The [protect] read thunk of one traversal: [read ()] loads [src],
+    which the walk repoints at each hop, so a hop allocates nothing
+    (DESIGN.md §15 "Box-free traversals"). *)
+module Reader (A : sig
+  type 'a t
+
+  val get : 'a t -> 'a
+end) =
+struct
+  type 'a t = { mutable src : 'a A.t; mutable read : unit -> 'a }
+
+  (* [read] is tied to the record after it is built: a recursive
+     definition would allocate the record twice. *)
+  let make src =
+    let r = { src; read = (fun () -> assert false) } in
+    r.read <- (fun () -> A.get r.src);
+    r
+end
 
 (** Derive a set's scheme plumbing from its [smr] accessor — the bracket
     ([enter]/[leave]/[refresh]), registration, draining and accounting

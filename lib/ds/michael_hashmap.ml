@@ -20,21 +20,19 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       invalid_arg "Michael_hashmap.create: buckets must be a power of two";
     {
       smr = S.create cfg;
-      buckets =
-        Array.init buckets (fun _ ->
-            A.make { L.tgt = None; marked = false });
+      buckets = Array.init buckets (fun _ -> A.make L.empty);
       mask = buckets - 1;
     }
 
   (* Fibonacci multiplicative hash (63-bit), keys are small dense ints. *)
   let bucket t key = ((key * 0x4F1BBCDCBFA53E0B) lsr 33) land t.mask
 
-  (* A bucket viewed as a list sharing the map's SMR state. *)
-  let view t key = { L.smr = t.smr; head = t.buckets.(bucket t key) }
+  (* Each bucket is a list sharing the map's SMR state. *)
+  let insert_with t g key = L.insert_at t.smr g t.buckets.(bucket t key) key
+  let remove_with t g key = L.remove_at t.smr g t.buckets.(bucket t key) key
 
-  let insert_with t g key = L.insert_with (view t key) g key
-  let remove_with t g key = L.remove_with (view t key) g key
-  let contains_with t g key = L.contains_with (view t key) g key
+  let contains_with t g key =
+    L.contains_at t.smr g t.buckets.(bucket t key) key
 
   include Ds_intf.Bracket (struct
     module S = S

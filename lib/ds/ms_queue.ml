@@ -27,7 +27,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       let tail =
         S.protect t.smr g ~idx:0
           ~read:(fun () -> A.get t.tail)
-          ~target:(fun n -> Some n)
+          ~target:Fun.id
       in
       let tpl = S.data tail in
       match A.get tpl.next with
@@ -47,13 +47,13 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       let head =
         S.protect t.smr g ~idx:0
           ~read:(fun () -> A.get t.head)
-          ~target:(fun n -> Some n)
+          ~target:Fun.id
       in
       let hpl = S.data head in
       let next =
         S.protect t.smr g ~idx:1
           ~read:(fun () -> A.get hpl.next)
-          ~target:(fun o -> o)
+          ~target:Smr.Smr_intf.of_option
       in
       (* A [next] link never changes once set, so the protect above cannot
          tell whether [head] was dequeued meanwhile — and with it [next],
@@ -81,13 +81,13 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     let head =
       S.protect t.smr g ~idx:0
         ~read:(fun () -> A.get t.head)
-        ~target:(fun n -> Some n)
+        ~target:Fun.id
     in
     let hpl = S.data head in
     let next =
       S.protect t.smr g ~idx:1
         ~read:(fun () -> A.get hpl.next)
-        ~target:(fun o -> o)
+        ~target:Smr.Smr_intf.of_option
     in
     (* The same head re-check as [dequeue_with]. *)
     if A.get t.head != head then peek_with t g

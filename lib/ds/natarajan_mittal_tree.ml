@@ -76,7 +76,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
   let read_edge t g ~idx field =
     S.protect t.smr g ~idx
       ~read:(fun () -> A.get field)
-      ~target:(fun e -> Some e.tgt)
+      ~target:(fun e -> e.tgt)
 
   let seek t g key =
     let rec descend ~ancestor ~anc_field ~successor ~parent ~par ~par_field

@@ -36,7 +36,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       let top =
         S.protect t.smr g ~idx:0
           ~read:(fun () -> A.get t.top)
-          ~target:(fun o -> o)
+          ~target:Smr.Smr_intf.of_option
       in
       match top with
       | None -> None
@@ -57,7 +57,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     let top =
       S.protect t.smr g ~idx:0
         ~read:(fun () -> A.get t.top)
-        ~target:(fun o -> o)
+        ~target:Smr.Smr_intf.of_option
     in
     match top with None -> None | Some n -> Some (S.data n).value
 

@@ -280,7 +280,7 @@ let micro_costs (module S : Registry.SMR) =
           ignore
             (S.protect t g ~idx:0
                ~read:(fun () -> Smr_runtime.Sim_runtime.Atomic.get cell)
-               ~target:(fun o -> o))
+               ~target:Smr.Smr_intf.of_option)
         done;
         S.leave t g)
   in

@@ -333,7 +333,7 @@ let micro_all ?quota_s () : micro list =
               ignore
                 (S.protect t g ~idx:0
                    ~read:(fun () -> Native.Atomic.get cell)
-                   ~target:(fun o -> o)))
+                   ~target:Smr.Smr_intf.of_option))
         in
         S.leave t g;
         ns

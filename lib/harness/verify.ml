@@ -350,7 +350,7 @@ let reader_cost (module S : SMR) ~ops ~churn ~ratio ~seed =
       match
         S.protect t g ~idx:0
           ~read:(fun () -> S.R.Atomic.get shared)
-          ~target:(fun v -> v)
+          ~target:Smr.Smr_intf.of_option
       with
       | Some n -> ignore (S.data n)
       | None -> ()

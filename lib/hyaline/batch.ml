@@ -15,15 +15,15 @@
     modular, so the trick carries over verbatim one bit narrower.
 
     {b Memory layout} (DESIGN.md §15): slot-list links are plain
-    ['a node R.Atomic.t] — the empty link is the {!nil} sentinel, an
-    immediate, so no [Some] box is built per link update. Batch records
-    are mutable and pooled: a batch whose NRef accounting has fully
-    completed returns to its owner's {!type:pool} and the next {!seal}
-    reuses the record, its [nodes] array and its [nref] cell, making the
-    steady-state seal path allocation-free (returning a record costs one
-    cons cell). The pool is shared by every thread of an engine instance — any
-    thread may free a batch and any thread may seal one — so it is an
-    atomic stack (see {!type:pool}). *)
+    ['a node R.Atomic.t] — the empty link is the {!Smr.Smr_intf.nil}
+    sentinel, an immediate, so no [Some] box is built per link update.
+    Batch records are mutable and pooled: a batch whose NRef accounting
+    has fully completed returns to its owner's {!type:pool} and the next
+    {!seal} reuses the record, its [nodes] array and its [nref] cell,
+    making the steady-state seal path allocation-free (returning a record
+    costs one cons cell). The pool is shared by every thread of an engine
+    instance — any thread may free a batch and any thread may seal one —
+    so it is an atomic stack (see {!type:pool}). *)
 
 let log2 =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -46,7 +46,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     birth : int;  (** birth era (Hyaline-S/1S; 0 otherwise) *)
     next : 'a node R.Atomic.t;
         (** link in the retirement list of the one slot this node joins;
-            {!nil} when the node is last (or not yet linked) *)
+            nil when the node is last (or not yet linked) *)
     mutable batch : 'a batch;
         (** back pointer, set when the node's batch is finalized;
             the immediate-0 sentinel until then *)
@@ -112,15 +112,6 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     Array.unsafe_set p.buf p.len n;
     p.len <- p.len + 1
 
-  (* The empty-link sentinel is the immediate 0: never dereferenced (every
-     traversal guards [is_nil] first; [nil] never carries a payload, enters
-     a head, or has its batch looked up), so it needs no backing record and
-     costs nothing to compare against. *)
-  let nil : unit -> 'a node = fun () -> Obj.magic 0
-  let[@inline] is_nil (n : _ node) = Obj.repr n == Obj.repr 0
-  let[@inline] of_opt = function Some n -> n | None -> nil ()
-  let[@inline] same_node (a : _ node) b = a == b
-
   let scheme = "Hyaline"
 
   (* Per-node scheme overhead in modelled bytes: the slot-list link, the
@@ -136,7 +127,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       payload;
       state = Smr.Lifecycle.on_alloc_hot ~bytes ~relieve ~scheme counters;
       birth;
-      next = R.Atomic.make (nil ());
+      next = R.Atomic.make (Smr.Smr_intf.nil ());
       batch = Obj.magic 0;
     }
 
@@ -180,7 +171,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     (* Drop the node references so the pooled record does not pin freed
        payloads until its next seal overwrites them. *)
     for i = 0 to b.len - 1 do
-      Array.unsafe_set nodes i (nil ())
+      Array.unsafe_set nodes i (Smr.Smr_intf.nil ())
     done;
     b.len <- 0;
     give b.pool b
@@ -226,7 +217,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     m_insert_retries : Smr.Metrics.Counter.t;
   }
 
-  (* The Ack cell of an engine that keeps none: a sentinel like {!nil},
+  (* The Ack cell of an engine that keeps none: a sentinel like nil,
      compared physically and never debited. A real cell would take a
      simulator cell id and shift every later one. *)
   let no_ack : int R.Atomic.t = Obj.magic 0
@@ -248,7 +239,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
      walk ends in [finish] rather than returning [(count, to_free)]: a
      returned pair is allocated per traverse. *)
   let rec walk f ack count to_free curr handle =
-    if is_nil curr then finish f ack (count + 1) to_free
+    if Smr.Smr_intf.is_nil curr then finish f ack (count + 1) to_free
     else begin
       Smr.Lifecycle.check_not_freed ~scheme:f.scheme ~what:"traverse"
         curr.state;
@@ -258,7 +249,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
         if R.Atomic.fetch_and_add b.nref (-1) = 1 then b :: to_free
         else to_free
       in
-      if same_node curr handle then finish f ack (count + 1) to_free
+      if curr == handle then finish f ack (count + 1) to_free
       else walk f ack (count + 1) to_free next handle
     end
 

@@ -8,13 +8,12 @@
     shared with the single-slot engine; this engine adds its directory's
     [k], the per-batch [Adjs] and the Fig. 3 insertion.
 
-    Hot-path layout (DESIGN.md §15): slot-list links and guard handles are
-    plain nodes with {!Batch.Make.nil} standing in for "no node" — the head
-    views keep their option type (the boxed view record is what the dwCAS
-    emulation compares), and the conversion happens once per load at the
-    engine boundary. Pending batches accumulate in a reusable per-thread
-    array, and sealed batch records are pooled, so the steady-state
-    retire/seal path performs no OCaml allocation. *)
+    Hot-path layout (DESIGN.md §15): slot-list links, guard handles and the
+    head views' [hptr] are plain nodes with {!Smr.Smr_intf.nil} standing in
+    for "no node", so neither an enter nor a batch insertion boxes one.
+    Pending batches accumulate in a reusable per-thread array, and sealed
+    batch records are pooled, so the steady-state retire/seal path
+    performs no OCaml allocation. *)
 
 (* Shared head-tuple record type. *)
 open Head_intf
@@ -100,7 +99,7 @@ struct
     let slot_idx = choose_slot t sid in
     let slot = Dir.get t.dir slot_idx in
     let seen = H.enter_faa slot.head in
-    { sid; slot; slot_idx; handle = B.of_opt seen.hptr; access_seen = -1 }
+    { sid; slot; slot_idx; handle = seen.hptr; access_seen = -1 }
 
   let traverse t slot first handle =
     B.traverse t.front ~ack:(if F.robust then slot.ack else B.no_ack) first
@@ -109,11 +108,11 @@ struct
   (* Fig. 3 leave. *)
   let rec leave_attempt t slot handle =
     let seen = H.load slot.head in
-    let curr = B.of_opt seen.hptr in
-    let fresh = not (B.same_node curr handle) in
+    let curr = seen.hptr in
+    let fresh = curr != handle in
     let next =
-      if fresh && not (B.is_nil curr) then R.Atomic.get curr.B.next
-      else B.nil ()
+      if fresh && not (Smr.Smr_intf.is_nil curr) then R.Atomic.get curr.B.next
+      else Smr.Smr_intf.nil ()
     in
     match H.try_leave slot.head ~seen with
     | `Fail ->
@@ -123,7 +122,7 @@ struct
         (* The last thread detached the list: treat the ex-first node as a
            predecessor and grant it its slot's Adjs (Fig. 3 lines 16-17,
            with the per-batch Adjs of §4.3). *)
-        if not (B.is_nil curr) then
+        if not (Smr.Smr_intf.is_nil curr) then
           B.adjust ~counters:t.front.counters curr (B.batch_of curr).adjs;
         if fresh then traverse t slot next handle
     | `Left -> if fresh then traverse t slot next handle
@@ -135,10 +134,11 @@ struct
   let trim t g =
     Smr.Metrics.Counter.incr t.front.m_trims;
     let seen = H.load g.slot.head in
-    let curr = B.of_opt seen.hptr in
-    if not (B.same_node curr g.handle) then begin
+    let curr = seen.hptr in
+    if curr != g.handle then begin
       let next =
-        if B.is_nil curr then B.nil () else R.Atomic.get curr.B.next
+        if Smr.Smr_intf.is_nil curr then Smr.Smr_intf.nil ()
+        else R.Atomic.get curr.B.next
       in
       traverse t g.slot next g.handle
     end;
@@ -194,16 +194,15 @@ struct
     if skip then false
     else begin
       let node = b.B.nodes.(cursor) in
-      R.Atomic.set_plain node.B.next (B.of_opt seen.hptr);
+      R.Atomic.set_plain node.B.next seen.hptr;
       if H.try_insert slot.head ~seen ~first:node then begin
         if F.robust then ignore (R.Atomic.fetch_and_add slot.ack seen.href);
         (* REF #2#: adjust the predecessor with its own batch's Adjs
            plus the HRef snapshot. *)
-        (match seen.hptr with
-        | Some pred ->
-            B.adjust ~counters:t.front.counters pred
-              ((B.batch_of pred).adjs + seen.href)
-        | None -> ());
+        let pred = seen.hptr in
+        if not (Smr.Smr_intf.is_nil pred) then
+          B.adjust ~counters:t.front.counters pred
+            ((B.batch_of pred).adjs + seen.href);
         true
       end
       else begin

@@ -41,7 +41,7 @@
     counters; the other flavours charge and allocate nothing for it.
 
     Hot-path layout (DESIGN.md §15): the head word carries a plain node
-    with {!Batch.Make.nil} as the empty pointer, so an insert builds one
+    with {!Smr.Smr_intf.nil} as the empty pointer, so an insert builds one
     two-field word record and no [Some] box. Word records installed by
     CAS-visible writes stay fresh per install — their physical identity is
     the CAS version tag — while the [idle] word, which is never a CAS
@@ -135,8 +135,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
     | Some r -> (
         match R.Atomic.get r with Idle -> () | Seeking _ -> R.Atomic.set r Idle)
     | None -> ());
-    R.Atomic.set slot.head { active = true; hptr = B.nil () };
-    { sid; handle = B.nil () }
+    R.Atomic.set slot.head { active = true; hptr = Smr.Smr_intf.nil () };
+    { sid; handle = Smr.Smr_intf.nil () }
 
   (* Decrement every batch in the detached list once (this thread owned the
      only reference this slot contributed); free on zero, FIFO-deferred.
@@ -146,17 +146,17 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
   (* Fig. 4 leave: a wait-free swap detaching the whole list. *)
   let leave t g =
     let old = R.Atomic.exchange t.slots.(g.sid).head t.idle in
-    if not (B.is_nil old.hptr) then traverse t old.hptr g.handle
+    if not (Smr.Smr_intf.is_nil old.hptr) then traverse t old.hptr g.handle
 
   (* leave + enter fused, keeping the active bit set throughout. *)
   let trim t g =
     Smr.Metrics.Counter.incr t.front.m_trims;
     let slot = t.slots.(g.sid) in
     let old =
-      R.Atomic.exchange slot.head { active = true; hptr = B.nil () }
+      R.Atomic.exchange slot.head { active = true; hptr = Smr.Smr_intf.nil () }
     in
     assert old.active;
-    if not (B.is_nil old.hptr) then traverse t old.hptr g.handle;
+    if not (Smr.Smr_intf.is_nil old.hptr) then traverse t old.hptr g.handle;
     g
 
   (* Fig. 5 deref; touch is an ordinary write (1:1 thread-to-slot). The
@@ -300,7 +300,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) (F : FLAVOR) = struct
         | None -> ())
 
   let create (cfg : Smr.Smr_intf.config) =
-    let idle = { active = false; hptr = B.nil () } in
+    let idle = { active = false; hptr = Smr.Smr_intf.nil () } in
     let front =
       B.make_front ~scheme:F.scheme_name ~robust ~adjs:(fun _ -> 0) cfg
     in

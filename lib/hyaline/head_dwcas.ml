@@ -14,7 +14,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   type 'n t = 'n Head_intf.view R.Atomic.t
 
-  let make () = R.Atomic.make { Head_intf.href = 0; hptr = None }
+  let make () =
+    R.Atomic.make { Head_intf.href = 0; hptr = Smr.Smr_intf.nil () }
   let load = R.Atomic.get
 
   (* dwFAA on HRef, emulated with a CAS loop; a failed CAS means another
@@ -27,17 +28,17 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   let try_insert head ~seen ~first =
     R.Atomic.compare_and_set head seen
-      { Head_intf.href = seen.href; hptr = Some first }
+      { Head_intf.href = seen.href; hptr = first }
 
   let try_leave head ~seen =
     let last = seen.Head_intf.href = 1 in
     let desired =
       {
         Head_intf.href = seen.href - 1;
-        hptr = (if last then None else seen.hptr);
+        hptr = (if last then Smr.Smr_intf.nil () else seen.hptr);
       }
     in
     if not (R.Atomic.compare_and_set head seen desired) then `Fail
-    else if last && Option.is_some seen.hptr then `Detached
+    else if last && not (Smr.Smr_intf.is_nil seen.hptr) then `Detached
     else `Left
 end

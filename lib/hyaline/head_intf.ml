@@ -14,8 +14,9 @@
     they were computed from and fail if the tuple changed since — exactly
     dwCAS/SC semantics. *)
 
-(** Consistent snapshot of a head tuple holding nodes of type ['n]. *)
-type 'n view = { href : int; hptr : 'n option }
+(** Consistent snapshot of a head tuple holding nodes of type ['n];
+    [hptr] is {!Smr.Smr_intf.nil} when the slot list is empty. *)
+type 'n view = { href : int; hptr : 'n }
 
 module type HEAD_OPS = sig
   val impl_name : string
@@ -41,7 +42,7 @@ module type HEAD_OPS = sig
 
   val try_leave : 'n t -> seen:'n view -> [ `Fail | `Left | `Detached ]
   (** One attempt to decrement [HRef] from [seen]; when [seen.href = 1] the
-      final reference also detaches the list ([HPtr := None]).
+      final reference also detaches the list ([HPtr := nil]).
       [`Detached] reports that this call detached a non-empty list — the
       caller then owes the detached head its predecessor-style [Adjs]
       adjustment (Fig. 3 lines 16–17); [`Left] is a plain decrement. The

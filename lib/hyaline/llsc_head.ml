@@ -21,14 +21,9 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   type 'n t = 'n Head_intf.view R.Atomic.t
 
-  let make () = R.Atomic.make { Head_intf.href = 0; hptr = None }
+  let make () =
+    R.Atomic.make { Head_intf.href = 0; hptr = Smr.Smr_intf.nil () }
   let load = R.Atomic.get
-
-  let same_ptr a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> x == y
-    | None, Some _ | Some _, None -> false
 
   (* Fig. 7 dwFAA: LL(HRef); Load(HPtr); SC(HRef, HRef + 1). *)
   let rec enter_faa head =
@@ -47,10 +42,10 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   let try_insert head ~seen ~first =
     let reserved = R.Atomic.get head in
     let loaded = R.Atomic.get head in
-    same_ptr reserved.Head_intf.hptr seen.Head_intf.hptr
+    reserved.Head_intf.hptr == seen.Head_intf.hptr
     && loaded.Head_intf.href = seen.href
     && R.Atomic.compare_and_set head reserved
-         { Head_intf.href = reserved.href; hptr = Some first }
+         { Head_intf.href = reserved.href; hptr = first }
 
   (* Fig. 7 dwCAS_Ref for the decrement, then — only when HRef reached 0 —
      the strong loop that sets HPtr to Null unless a concurrent enter
@@ -61,13 +56,13 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     if
       not
         (reserved.Head_intf.href = seen.Head_intf.href
-        && same_ptr loaded.Head_intf.hptr seen.hptr)
+        && loaded.Head_intf.hptr == seen.hptr)
     then `Fail
     else if
       R.Atomic.compare_and_set head reserved
         { Head_intf.href = seen.href - 1; hptr = reserved.hptr }
     then
-      if seen.href = 1 && Option.is_some seen.hptr then begin
+      if seen.href = 1 && not (Smr.Smr_intf.is_nil seen.hptr) then begin
         (* Strong dwCAS_Ptr from {0, Curr} to {0, Null}: both fields of the
            expectation matter — a concurrent enter (HRef <> 0) or a
            detach/claim cycle that replaced the list (HPtr <> Curr) means
@@ -75,11 +70,11 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
            would double-grant the slot's Adjs. *)
         let rec detach () =
           let cur = R.Atomic.get head in
-          if cur.Head_intf.href <> 0 || not (same_ptr cur.hptr seen.hptr)
+          if cur.Head_intf.href <> 0 || cur.hptr != seen.hptr
           then false
           else if
             R.Atomic.compare_and_set head cur
-              { Head_intf.href = 0; hptr = None }
+              { Head_intf.href = 0; hptr = Smr.Smr_intf.nil () }
           then true
           else detach ()
         in

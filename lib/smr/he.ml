@@ -92,7 +92,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   (* A transfer moves the reservation onto [idx] like any protect: the era
      published there is what covers the node for the new role. *)
   let transfer t g ~idx _ =
-    protect t g ~idx ~read:ignore ~target:(fun () -> None)
+    protect t g ~idx ~read:ignore ~target:Smr_intf.nil
 
   (* Eras published by live (registered) slots only, ascending slot order:
      every published era read once (charged), then pure interval tests. *)

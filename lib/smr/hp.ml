@@ -20,7 +20,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   type 'a t = {
     front : ('a node, 'a node) F.t;
-    hazards : 'a node option R.Atomic.t array array;  (* [slot].(idx) *)
+    hazards : 'a node R.Atomic.t array array;
+        (* [slot].(idx); {!Smr_intf.nil} when the index is clear *)
   }
 
   type 'a guard = { sid : int; mutable used : int  (* highest idx + 1 *) }
@@ -39,25 +40,21 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   let leave t g =
     let slots = t.hazards.(g.sid) in
     for idx = 0 to g.used - 1 do
-      R.Atomic.set slots.(idx) None
+      R.Atomic.set slots.(idx) (Smr_intf.nil ())
     done;
     g.used <- 0
 
   (* Publish the candidate and validate by re-reading the source. The
-     hazard stores [p], the very box [target] returned, so a dereference
-     allocates nothing. *)
+     hazard holds the bare node [target] returned (nil when the value
+     points nowhere), so a dereference allocates nothing. *)
   let rec protect_attempt slot read target =
     let v = read () in
-    match target v with
-    | None ->
-        R.Atomic.set slot None;
-        v
-    | Some n as p -> (
-        R.Atomic.set slot p;
-        let v' = read () in
-        match target v' with
-        | Some n' when n' == n -> v'
-        | Some _ | None -> protect_attempt slot read target)
+    let n = target v in
+    R.Atomic.set slot n;
+    if Smr_intf.is_nil n then v
+    else
+      let v' = read () in
+      if target v' == n then v' else protect_attempt slot read target
 
   let protect t g ~idx ~read ~target =
     if idx >= t.front.cfg.hp_indices then
@@ -71,7 +68,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     if idx >= t.front.cfg.hp_indices then
       invalid_arg "Hp.transfer: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
-    R.Atomic.set t.hazards.(g.sid).(idx) (Some n)
+    R.Atomic.set t.hazards.(g.sid).(idx) n
 
   (* Hazards of live (registered) slots only, in ascending slot order: the
      charged reads shrink from max_threads x hp_indices to the number of
@@ -81,9 +78,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let published = ref [] in
     Slot_registry.iter_live reg (fun sid ->
         for idx = 0 to cfg.hp_indices - 1 do
-          match R.Atomic.get hazards.(sid).(idx) with
-          | Some h -> published := h :: !published
-          | None -> ()
+          let h = R.Atomic.get hazards.(sid).(idx) in
+          if not (Smr_intf.is_nil h) then published := h :: !published
         done);
     let published = !published in
     fun n -> List.memq n published
@@ -92,14 +88,15 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let reg = Slot_registry.create ~capacity:cfg.max_threads in
     let hazards =
       Array.init cfg.max_threads (fun _ ->
-          Array.init cfg.hp_indices (fun _ -> R.Atomic.make None))
+          Array.init cfg.hp_indices (fun _ ->
+              R.Atomic.make (Smr_intf.nil ())))
     in
     (* Publish the hazard row empty: hp_indices charged stores, the
        per-thread registration cost Table 1 implies for HP. *)
     let clear sid =
       let row = hazards.(sid) in
       for idx = 0 to cfg.hp_indices - 1 do
-        R.Atomic.set row.(idx) None
+        R.Atomic.set row.(idx) (Smr_intf.nil ())
       done
     in
     let front =

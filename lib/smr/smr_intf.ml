@@ -70,6 +70,28 @@ let mem_config (cfg : config) : Mem.Mem_intf.config =
     budget_bytes = cfg.budget_bytes;
   }
 
+(** {2 The nil sentinel}
+
+    "No node" is the immediate 0 standing in at a node type, so a link,
+    a hazard slot or a head word holds a bare node and no [Some] box is
+    built per update (DESIGN.md §15 "Nil-sentinel links"). Its rules:
+    never dereference it and never pass it to {!SMR.data} (test
+    {!is_nil} first); use it only at node types that are boxed records,
+    so no real node is an immediate and [is_nil], a primitive every call
+    site inlines, tests for one. [nil] takes [()] so each use site
+    instantiates it at its own node type, and it is opaque to the
+    compiler so a record built with it is still allocated fresh rather
+    than folded into a shared constant: CASes compare records
+    physically. *)
+
+let nil () : 'n = Sys.opaque_identity (Obj.magic 0)
+
+external is_nil : 'n -> bool = "%obj_is_int"
+
+(** The node an optional link holds, or {!nil}: the [target] of a
+    structure whose links are still options. *)
+let[@inline] of_option = function Some n -> n | None -> nil ()
+
 type slot = Slot_registry.slot = { id : int; gen : int; tid : int }
 (** A registered thread's dense per-thread slot (see {!Slot_registry}):
     the index into the scheme's per-thread arrays, generation-stamped so a
@@ -149,12 +171,15 @@ module type SMR = sig
     'a guard ->
     idx:int ->
     read:(unit -> 'b) ->
-    target:('b -> 'a node option) ->
+    target:('b -> 'a node) ->
     'b
-  (** Safely read a shared value [read ()] containing a node pointer
-      (extracted by [target]). Pointer-based schemes (HP) publish a hazard
-      for slot [idx] and validate by re-reading; era-based schemes (HE, IBR,
+  (** Safely read a shared value [read ()] containing a node pointer,
+      which [target] extracts as a bare node, or {!nil} when the value
+      points at no node. Pointer-based schemes (HP) publish a hazard for
+      slot [idx] and validate by re-reading; era-based schemes (HE, IBR,
       Hyaline-S) advance their reservation era; epoch/Hyaline read plainly.
+      [target] must allocate nothing and [read] should be built once per
+      traversal, not per call: both run on every node a traversal visits.
       [idx] must be stable per pointer role and [< hp_indices]. *)
 
   val transfer : 'a t -> 'a guard -> idx:int -> 'a node -> unit

@@ -222,7 +222,7 @@ let test_kill_adoption () =
         match
           W_eager.protect t g ~idx:0
             ~read:(fun () -> W_eager.R.Atomic.get shared)
-            ~target:(fun v -> v)
+            ~target:Smr.Smr_intf.of_option
         with
         | Some n -> ignore (W_eager.data n)
         | None -> ()
@@ -333,7 +333,7 @@ let broken_program : Explore.program =
     (match
        W_broken.protect t g ~idx:0
          ~read:(fun () -> W_broken.R.Atomic.get shared)
-         ~target:(fun v -> v)
+         ~target:Smr.Smr_intf.of_option
      with
     | Some n -> ignore (W_broken.data n)
     | None -> ());
@@ -435,7 +435,7 @@ let sound_program : Explore.program =
     (match
        W_eager.protect t g ~idx:0
          ~read:(fun () -> W_eager.R.Atomic.get shared)
-         ~target:(fun v -> v)
+         ~target:Smr.Smr_intf.of_option
      with
     | Some n -> ignore (W_eager.data n)
     | None -> ());

@@ -99,12 +99,12 @@ let test_list_stays_sorted () =
   run_solo (fun () ->
       let module A = L.A in
       let rec walk prev link =
-        match link.L.tgt with
-        | None -> ()
-        | Some n ->
-            let pl = L.S.data n in
-            Alcotest.(check bool) "strictly sorted" true (pl.L.key > prev);
-            walk pl.L.key (A.get pl.L.next)
+        let n = link.L.tgt in
+        if not (Smr.Smr_intf.is_nil n) then begin
+          let pl = L.S.data n in
+          Alcotest.(check bool) "strictly sorted" true (pl.L.key > prev);
+          walk pl.L.key (A.get pl.L.next)
+        end
       in
       walk min_int (A.get l.L.head))
 

@@ -89,6 +89,21 @@ module Make (S : SMR) = struct
     ]
 end
 
+let native_schemes : (string * (module SMR)) list =
+  [
+    ("epoch", (module N_ebr));
+    ("hp", (module N_hp));
+    ("he", (module N_he));
+    ("ibr", (module N_ibr));
+    ("hyaline", (module N_hyaline));
+    ("hyaline-llsc", (module N_hyaline_llsc));
+    ("hyaline-s", (module N_hyaline_s));
+    ("hyaline-1", (module N_hyaline1));
+    ("hyaline-1s", (module N_hyaline1s));
+    ("crystalline-l", (module N_crystalline_l));
+    ("crystalline-w", (module N_crystalline_w));
+  ]
+
 (* A dereference allocates nothing: one thread inside one bracket, the
    [read] and [target] closures and the node built beforehand, and no
    allocation in flight, so every minor word counted across the loop is
@@ -100,9 +115,9 @@ let test_protect_allocates_nothing () =
     (fun (name, (module S : SMR)) ->
       Native.set_self 0;
       let t = S.create cfg in
-      let cell = Stdlib.Atomic.make (Some (S.alloc t ())) in
+      let cell = Stdlib.Atomic.make (S.alloc t ()) in
       let read () = Stdlib.Atomic.get cell in
-      let target o = o in
+      let target n = n in
       let g = S.enter t in
       ignore (S.protect t g ~idx:0 ~read ~target);
       let before = Gc.minor_words () in
@@ -116,19 +131,79 @@ let test_protect_allocates_nothing () =
         (Printf.sprintf "%s: %.3f minor words per protect <= 0.01" name
            per_call)
         true (per_call <= 0.01))
+    native_schemes
+
+(* Moving a protected node to another role allocates nothing either: HP
+   publishes the bare node, HE and IBR charge a protect whose read is
+   constant. *)
+let test_transfer_allocates_nothing () =
+  let calls = 10_000 in
+  List.iter
+    (fun (name, (module S : SMR)) ->
+      Native.set_self 0;
+      let t = S.create cfg in
+      let n = S.alloc t () in
+      let g = S.enter t in
+      S.transfer t g ~idx:0 n;
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        S.transfer t g ~idx:(i mod 3) n
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      S.leave t g;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per transfer <= 0.01" name
+           per_call)
+        true (per_call <= 0.01))
     [
-      ("epoch", (module N_ebr : SMR));
-      ("hp", (module N_hp));
+      ("hp", (module N_hp : SMR));
       ("he", (module N_he));
       ("ibr", (module N_ibr));
-      ("hyaline", (module N_hyaline));
-      ("hyaline-llsc", (module N_hyaline_llsc));
-      ("hyaline-s", (module N_hyaline_s));
-      ("hyaline-1", (module N_hyaline1));
-      ("hyaline-1s", (module N_hyaline1s));
-      ("crystalline-l", (module N_crystalline_l));
-      ("crystalline-w", (module N_crystalline_w));
     ]
+
+(* A traversal allocates nothing per node it visits: a [contains] of the
+   last key costs the same minor words over 16 nodes as over 256, on the
+   list and on the skip list. What remains is per operation (the guard,
+   the walk's reader and its result record), so a closure or a box built
+   per hop shows as a gap of several words per node. The list's
+   per-operation words are bounded too: the list is the native-list
+   workload's structure, which allocated about 700 words per operation
+   when every hop built a closure. *)
+let test_traversal_allocation () =
+  let per_contains (module L : Smr_ds.Ds_intf.CONC_SET) n =
+    Native.set_self 0;
+    let l = L.create cfg in
+    for key = 1 to n do
+      ignore (L.insert l key)
+    done;
+    ignore (L.contains l n);
+    let calls = 2_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (L.contains l n)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  List.iter
+    (fun (name, (module S : SMR)) ->
+      List.iter
+        (fun (ds, bound, set) ->
+          let small = per_contains set 16 and large = per_contains set 256 in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "%s %s: %.2f minor words per contains at 16 nodes, %.2f at \
+                256 (within 0.5, at most %g)"
+               name ds small large bound)
+            true
+            (Float.abs (large -. small) <= 0.5 && large <= bound))
+        [
+          ( "list",
+            50.,
+            (module Smr_ds.Harris_michael_list.Make (S)
+            : Smr_ds.Ds_intf.CONC_SET) );
+          ("skiplist", Float.infinity, (module Smr_ds.Skiplist.Make (S)));
+        ])
+    native_schemes
 
 (* An empty bracket allocates only its guard and the head records its
    CAS updates install: one thread, no retires in flight, so every minor
@@ -224,7 +299,7 @@ let test_pool_two_domains () =
   let cycles = 100_000 in
   let doubles =
     Runner.run_collect ~threads:2 (fun _ ->
-        let buf = Array.make 4 (B.nil ()) in
+        let buf = Array.make 4 (Smr.Smr_intf.nil ()) in
         let doubles = ref 0 in
         for _ = 1 to cycles do
           for i = 0 to 3 do
@@ -255,6 +330,10 @@ let suite =
   Alcotest.test_case "batch-pool-2-domains" `Quick test_pool_two_domains
   :: Alcotest.test_case "protect-allocates-nothing" `Quick
        test_protect_allocates_nothing
+  :: Alcotest.test_case "transfer-allocates-nothing" `Quick
+       test_transfer_allocates_nothing
+  :: Alcotest.test_case "traversal-allocation" `Quick
+       test_traversal_allocation
   :: Alcotest.test_case "enter-leave-allocation" `Quick
        test_enter_leave_allocation
   :: Alcotest.test_case "retire-allocation" `Quick test_retire_allocation

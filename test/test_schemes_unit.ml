@@ -38,7 +38,7 @@ let test_hp_hazard_pins () =
       let got =
         Hp.protect t g_reader ~idx:0
           ~read:(fun () -> Sim.Atomic.get cell)
-          ~target:(fun o -> o)
+          ~target:Smr.Smr_intf.of_option
       in
       Alcotest.(check bool) "protect returns the node" true
         (Test_support.phys_opt got (Some protected_node));
@@ -78,7 +78,7 @@ let test_hp_protect_validates () =
               if !flips = 2 then Sim.Atomic.set cell (Some b);
               Sim.Atomic.get cell
             end)
-          ~target:(fun o -> o)
+          ~target:Smr.Smr_intf.of_option
       in
       Alcotest.(check int) "validated value is the stable one" 20
         (match got with Some n -> Hp.data n | None -> -1);
@@ -117,7 +117,7 @@ let test_he_reservation_pins () =
       ignore
         (He.protect t g_reader ~idx:0
            ~read:(fun () -> Sim.Atomic.get cell)
-           ~target:(fun o -> o));
+           ~target:Smr.Smr_intf.of_option);
       let g_writer = He.enter t in
       He.retire t g_writer n;
       He.flush t;
@@ -141,12 +141,14 @@ let test_head_dwcas_protocol () =
       Alcotest.(check int) "faa old" 0 pre.Hyaline_core.Head_intf.href;
       let pre2 = Head.enter_faa h in
       Alcotest.(check int) "faa old 2" 1 pre2.Hyaline_core.Head_intf.href;
-      (* Stale insert must fail; fresh one succeeds. *)
+      (* Stale insert must fail; fresh one succeeds. A node is a boxed
+         value: an immediate would read as the nil sentinel. *)
       let fresh = Head.load h in
+      let node = ref 42 in
       Alcotest.(check bool) "stale view rejected" false
-        (Head.try_insert h ~seen:v0 ~first:42);
+        (Head.try_insert h ~seen:v0 ~first:node);
       Alcotest.(check bool) "fresh view accepted" true
-        (Head.try_insert h ~seen:fresh ~first:42);
+        (Head.try_insert h ~seen:fresh ~first:node);
       (* Two leaves: the second one detaches. *)
       let v = Head.load h in
       (match Head.try_leave h ~seen:v with
@@ -160,7 +162,7 @@ let test_head_dwcas_protocol () =
       | `Fail -> Alcotest.fail "fresh leave must succeed");
       let final = Head.load h in
       Alcotest.(check bool) "list detached" true
-        (final.Hyaline_core.Head_intf.hptr = None);
+        (Smr.Smr_intf.is_nil final.Hyaline_core.Head_intf.hptr);
       Alcotest.(check int) "href zero" 0 final.href)
 
 (* ---- Leaky protect is the identity on reads. *)
@@ -170,7 +172,9 @@ let test_leaky_protect_identity () =
       let n = Leaky.alloc t 5 in
       let g = Leaky.enter t in
       let got =
-        Leaky.protect t g ~idx:0 ~read:(fun () -> Some n) ~target:(fun o -> o)
+        Leaky.protect t g ~idx:0
+          ~read:(fun () -> Some n)
+          ~target:Smr.Smr_intf.of_option
       in
       Alcotest.(check int) "identity read" 5
         (match got with Some n -> Leaky.data n | None -> -1);
@@ -349,7 +353,9 @@ let test_traversal_charged_ops () =
         expected
         (classes (traversal_counts m ~k)))
     [
+      ("Epoch", (module Ebr : SMR), [ 33; 0; 0; 0; 0; 0; 0; 0 ]);
       ("HP", (module Hp : SMR), [ 65; 33; 0; 0; 0; 0; 0; 0 ]);
+      ("HE", (module He : SMR), [ 69; 3; 0; 0; 0; 0; 0; 0 ]);
       ("IBR", (module Ibr : SMR), [ 99; 0; 0; 0; 0; 0; 0; 0 ]);
       ("Hyaline", (module Hyaline : SMR), [ 33; 0; 0; 0; 0; 0; 0; 0 ]);
       ("Hyaline-S", (module Hyaline_s : SMR), [ 70; 0; 0; 1; 0; 0; 0; 0 ]);
@@ -360,6 +366,27 @@ let test_traversal_charged_ops () =
       ( "Crystalline-W",
         (module Hyaline_core.Crystalline_w.Make (Sim) : SMR),
         [ 102; 0; 0; 1; 0; 0; 0; 0 ] );
+    ]
+
+(* ---- Charged ops of one skip-list [contains] by a lone thread, after
+   inserting 1..32, for the six benchmark schemes. With the list pin
+   above this fixes every charged call a traversal makes, so a change to
+   the structures' node layout cannot move a schedule silently. *)
+let test_skiplist_charged_ops () =
+  let k = 32 in
+  List.iter
+    (fun (name, (module S : SMR), expected) ->
+      Alcotest.(check (list int))
+        (name ^ ": per-class op counts of a skip-list contains")
+        expected
+        (classes (contains_counts (module Smr_ds.Skiplist.Make (S)) ~k)))
+    [
+      ("Epoch", (module Ebr : SMR), [ 20; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("HP", (module Hp : SMR), [ 28; 20; 0; 0; 0; 0; 0; 0 ]);
+      ("HE", (module He : SMR), [ 43; 3; 0; 0; 0; 0; 0; 0 ]);
+      ("IBR", (module Ibr : SMR), [ 60; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("Hyaline", (module Hyaline : SMR), [ 20; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("Hyaline-S", (module Hyaline_s : SMR), [ 41; 0; 0; 0; 0; 0; 0; 0 ]);
     ]
 
 (* ---- Charged ops of one NM-tree [contains] by a lone thread, after
@@ -477,7 +504,7 @@ let scan_policy_counts (module S : SMR) =
       ignore
         (S.protect t g ~idx:0
            ~read:(fun () -> Sim.Atomic.get cell)
-           ~target:(fun o -> o));
+           ~target:Smr.Smr_intf.of_option);
       let nodes = pinned :: List.init 11 (fun i -> S.alloc t (i + 1)) in
       let before = Cell.snapshot_counts () in
       List.iter (S.retire t g) nodes;
@@ -542,7 +569,7 @@ let relieve_race (module S : SMR) ~depart =
            let got =
              S.protect t g ~idx:0
                ~read:(fun () -> Sim.Atomic.get cell)
-               ~target:(fun o -> o)
+               ~target:Smr.Smr_intf.of_option
            in
            for _ = 1 to 6 do
              Sched.step 1
@@ -615,6 +642,8 @@ let suite =
       test_nm_tree_reader_stall_sweep;
     Alcotest.test_case "traversal-charged-ops" `Quick
       test_traversal_charged_ops;
+    Alcotest.test_case "skiplist-charged-ops" `Quick
+      test_skiplist_charged_ops;
     Alcotest.test_case "nm-tree-transfer-charged-ops" `Quick
       test_nm_tree_transfer_charged_ops;
     Alcotest.test_case "directory-charged-ops" `Quick

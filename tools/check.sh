@@ -98,9 +98,21 @@ done
 # robustness probes — fixed seeds, smoke budgets (the whole sweep is a
 # fraction of a second; the one-minute CI budget has two orders of
 # magnitude of slack). Exits non-zero on any violation, which dumps a
-# replayable trace file into $tmpdir for inspection before cleanup.
+# replayable trace file into $tmpdir for inspection before cleanup. The
+# run is deterministic, so its report must equal the committed
+# VERIFY_seed0.txt: a change that moves a schedule, a peak or a step
+# bound cannot pass silently.
 echo "==> verify smoke run"
-dune exec bin/figures.exe -- verify --seed 0 --trace-dir "$tmpdir"
+dune exec bin/figures.exe -- verify --seed 0 --trace-dir "$tmpdir" \
+  >"$tmpdir/verify.txt" || {
+  echo "verify: a probe found a violation or the driver crashed"
+  cat "$tmpdir/verify.txt"; exit 1; }
+cat "$tmpdir/verify.txt"
+cmp "$tmpdir/verify.txt" VERIFY_seed0.txt || {
+  diff VERIFY_seed0.txt "$tmpdir/verify.txt" || true
+  echo "verify: committed VERIFY_seed0.txt is stale; regenerate it with:" \
+    "dune exec bin/figures.exe -- verify --seed 0 > VERIFY_seed0.txt"
+  exit 1; }
 
 # Selfbench smoke: run the pinned simulator self-benchmark at CI budget.
 # Wall-clock rates are machine-dependent, so this stage fails only on hard

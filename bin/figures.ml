@@ -76,7 +76,7 @@ let profile_term =
 let profile_report profile =
   if profile then Fmt.epr "%a" Smr_harness.Profile.pp ()
 
-let fig_cmd name doc driver =
+let fig_cmd (name, doc, driver) =
   let run profile domains cache on_progress scale =
     driver ?domains ?cache ?on_progress Fmt.stdout ~scale;
     profile_report profile
@@ -85,6 +85,35 @@ let fig_cmd name doc driver =
     Term.(
       const run $ profile_term $ domains_term $ cache_term $ progress_term
       $ scale_term)
+
+(* Every table and figure, in the order [all] prints them. *)
+let sections =
+  let open Smr_harness.Figures in
+  [
+    ( "table1",
+      "Table 1: scheme comparison.",
+      fun ?domains:_ ?cache:_ ?on_progress:_ ppf ~scale:_ -> table1 ppf );
+    ("fig8", "Figures 8 & 9: x86-64 write-heavy.", fig8_9);
+    ("fig10a", "Figure 10a: robustness under stalled threads.", fig10a);
+    ("fig10b", "Figure 10b: trimming.", fig10b);
+    ("fig11", "Figures 11 & 12: x86-64 read-mostly.", fig11_12);
+    ("fig13", "Figures 13 & 14: PowerPC write-heavy.", fig13_14);
+    ("fig15", "Figures 15 & 16: PowerPC read-mostly.", fig15_16);
+    ("ablation", "Hyaline batch size, slot count and head ablations.", ablation);
+    ("sensitivity", "Scheme ordering under three atomic-op price models.",
+      sensitivity);
+    ("breakdown", "Atomic operations per hash-map operation.", breakdown);
+    ("metrics", "Scheme-internal metrics on the hash map.", metrics);
+  ]
+
+let all_cmd =
+  fig_cmd
+    ( "all",
+      "Every table and figure, in order.",
+      fun ?domains ?cache ?on_progress ppf ~scale ->
+        List.iter
+          (fun (_, _, driver) -> driver ?domains ?cache ?on_progress ppf ~scale)
+          sections )
 
 let ds_conv =
   Arg.enum
@@ -431,20 +460,9 @@ let scenario_cmd (Smr_harness.Scenario.Any sc as scenario) =
 let () = Smr_harness.Native_workload.guard_main ()
 
 let () =
-  let open Smr_harness.Figures in
   let cmds =
-    [
-      fig_cmd "fig8" "Figures 8 & 9: x86-64 write-heavy." fig8_9;
-      fig_cmd "fig10a" "Figure 10a: robustness under stalled threads." fig10a;
-      fig_cmd "fig10b" "Figure 10b: trimming." fig10b;
-      fig_cmd "fig11" "Figures 11 & 12: x86-64 read-mostly." fig11_12;
-      fig_cmd "fig13" "Figures 13 & 14: PowerPC write-heavy." fig13_14;
-      fig_cmd "fig15" "Figures 15 & 16: PowerPC read-mostly." fig15_16;
-      Cmd.v (Cmd.info "table1" ~doc:"Table 1: scheme comparison.")
-        Term.(const (fun () -> table1 Fmt.stdout) $ const ());
-      point_cmd;
-      verify_cmd;
-    ]
+    List.map fig_cmd sections
+    @ [ all_cmd; point_cmd; verify_cmd ]
     @ List.map scenario_cmd Smr_harness.Scenario.all
   in
   let info =

@@ -317,3 +317,172 @@ let table1 ppf =
        (fun (n, _) -> List.mem n (Registry.bench_scheme_names Registry.X86))
        Registry.Sim.every_scheme);
   Fmt.pf ppf "@."
+
+(* -- one-row-per-cell sections -------------------------------------------- *)
+
+(* The sections below print one row per cell (or one cell per column), so
+   they run uniquely labelled cells through {!exec} and read back one
+   result per cell, in plan order: [None] where the cell failed, printed
+   as the same [-] hole {!print_table} leaves. *)
+let exec_cells ?domains ?cache ?on_progress name cells =
+  let series =
+    exec ?domains ?cache ?on_progress ~x:(fun _ -> 0) { Plan.name; cells }
+  in
+  List.map
+    (fun (c : Plan.cell) ->
+      Option.bind
+        (List.find_opt (fun s -> String.equal s.scheme c.Plan.label) series)
+        (fun s -> List.assoc_opt 0 s.points))
+    cells
+
+(* Number cells of the given (width, precision), or one hole per column. *)
+let pp_cells cols ppf = function
+  | Some vs -> List.iter2 (fun (w, p) v -> Fmt.pf ppf " %*.*f" w p v) cols vs
+  | None -> List.iter (fun (w, _) -> Fmt.pf ppf " %*s" w "-") cols
+
+let hashmap_cell ?cfg ?label ~scale scheme threads =
+  Plan.cell ?cfg ?label ~scale ~mix:Workload.write_heavy ~scheme
+    ~structure:Registry.Hashmap ~threads ()
+
+(* -- Ablations ------------------------------------------------------------ *)
+
+let ablation ?domains ?cache ?on_progress ppf ~scale =
+  Fmt.pf ppf "# Ablations (hash map, write-heavy, 9 threads)@.@.";
+  let threads = 9 in
+  (* One table: a (printed key, cell) per row. *)
+  let table name key rows =
+    Fmt.pf ppf "%-12s %14s %14s@." key "throughput" "unreclaimed";
+    let rs = exec_cells ?domains ?cache ?on_progress name (List.map snd rows) in
+    List.iter2
+      (fun (k, _) r ->
+        Fmt.pf ppf "%-12s%a@." k
+          (pp_cells [ (14, 3); (14, 1) ])
+          (Option.map
+             (fun (r : Workload.result) -> [ r.throughput; r.avg_unreclaimed ])
+             r))
+      rows rs;
+    Fmt.pf ppf "@."
+  in
+  let hyaline cfg label = hashmap_cell ~cfg ~label ~scale "Hyaline" threads in
+  (* Batch size sweep (§3.2: batch size plays the role of epoch frequency). *)
+  Fmt.pf ppf "## Hyaline batch size (slots = 32)@.";
+  table "ablation-batch" "batch"
+    (List.map
+       (fun batch_size ->
+         ( string_of_int (max batch_size 33),
+           hyaline
+             { (Plan.base_cfg ~max_threads:1) with slots = 32; batch_size }
+             (string_of_int batch_size) ))
+       [ 16; 64; 128; 256 ]);
+  (* Slot count: k = 1 is the single-list §3.1 algorithm. *)
+  Fmt.pf ppf "## Hyaline slot count (batch = max(32, k+1))@.";
+  table "ablation-slots" "slots"
+    (List.map
+       (fun slots ->
+         ( string_of_int slots,
+           hyaline { (Plan.base_cfg ~max_threads:1) with slots }
+             (string_of_int slots) ))
+       [ 1; 8; 32; 128 ]);
+  (* Head implementation: dwCAS vs the Fig. 7 LL/SC model. *)
+  Fmt.pf ppf "## Head implementation (slots = 32, batch = 33)@.";
+  table "ablation-head" "head"
+    (List.map
+       (fun (label, scheme) ->
+         ( label,
+           hashmap_cell ~cfg:(Plan.base_cfg ~max_threads:1) ~label ~scale
+             scheme threads ))
+       [ ("dwcas", "Hyaline"); ("llsc", "Hyaline/llsc") ])
+
+(* -- Atomic-operation breakdown -------------------------------------------- *)
+
+(* How many atomic operations of each kind one data-structure operation
+   costs under each scheme — the microscopic story behind every throughput
+   figure. *)
+let breakdown ?domains ?cache ?on_progress ppf ~scale =
+  Fmt.pf ppf "# Atomic ops per hash-map operation (write-heavy, 9 threads)@.@.";
+  Fmt.pf ppf "%-12s %8s %8s %8s %8s %8s %8s %8s %9s@." "scheme" "reads"
+    "writes" "plain-w" "cas-ok" "cas-fail" "faa" "swap" "cost/op";
+  let names = Registry.scheme_names Registry.X86 in
+  let rs =
+    exec_cells ?domains ?cache ?on_progress "breakdown"
+      (List.map (fun name -> hashmap_cell ~scale name 9) names)
+  in
+  List.iter2
+    (fun name r ->
+      (* [Workload.run] already scopes the per-class counters to the
+         measured phase — no global reset needed, so concurrent callers
+         and the prefill phase can no longer pollute the numbers. *)
+      let per_op (r : Workload.result) =
+        let c = r.op_costs in
+        let per x = float_of_int x /. float_of_int (max 1 r.ops) in
+        [ per c.reads; per c.writes; per c.plain_writes; per c.cas_ok;
+          per c.cas_fail; per c.faas; per c.swaps;
+          per (Smr_runtime.Sim_cell.total_cost c) ]
+      in
+      Fmt.pf ppf "%-12s%a@." name
+        (pp_cells (List.init 7 (fun _ -> (8, 2)) @ [ (9, 1) ]))
+        (Option.map per_op r))
+    names rs;
+  Fmt.pf ppf "@."
+
+(* -- Scheme-internal metrics ----------------------------------------------- *)
+
+(* The scheme-specific series from [Smr.Metrics]: why a scheme behaves the
+   way it does — batches sealed and CAS retries for Hyaline, scan counts
+   for the pointer/era schemes, epoch advances for EBR. *)
+let metrics ?domains ?cache ?on_progress ppf ~scale =
+  Fmt.pf ppf "# Scheme metrics (hash map, write-heavy, 9 threads)@.@.";
+  let names = Registry.scheme_names Registry.X86 in
+  let rs =
+    exec_cells ?domains ?cache ?on_progress "metrics"
+      (List.map (fun name -> hashmap_cell ~scale name 9) names)
+  in
+  List.iter2
+    (fun name -> function
+      | Some (r : Workload.result) -> Fmt.pf ppf "%a@." Smr.Metrics.pp r.metrics
+      | None -> Fmt.pf ppf "%s: -@." name)
+    names rs;
+  Fmt.pf ppf "@."
+
+(* -- Cost-model sensitivity ------------------------------------------------ *)
+
+(* The figure shapes should not be an artefact of the exact atomic-op
+   prices. Sweep the CAS/fenced-store price from optimistic to
+   pessimistic and show the scheme ordering on the hash map is stable.
+   The cost model is part of every cell's cache key, so the three models
+   cache independently. *)
+let sensitivity ?domains ?cache ?on_progress ppf ~scale =
+  Fmt.pf ppf "# Cost-model sensitivity (hash map, write-heavy, 36 threads)@.";
+  Fmt.pf ppf
+    "Throughput ordering under different atomic-op price models.@.@.";
+  let schemes = [ "Leaky"; "Epoch"; "HP"; "Hyaline"; "Hyaline-1" ] in
+  let models =
+    [
+      ("cheap-rmw (cas=2)", { Smr_runtime.Sim_cell.read = 1; write = 2; cas = 2; faa = 2; swap = 2; alloc = 3 });
+      ("default  (cas=4)", Smr_runtime.Sim_cell.default_costs);
+      ("dear-rmw (cas=10)", { read = 1; write = 6; cas = 10; faa = 8; swap = 9; alloc = 8 });
+    ]
+  in
+  Fmt.pf ppf "%-20s" "model";
+  List.iter (fun n -> Fmt.pf ppf " %12s" n) schemes;
+  Fmt.pf ppf "@.";
+  let saved = Smr_runtime.Sim_cell.current_costs () in
+  Fun.protect
+    ~finally:(fun () -> Smr_runtime.Sim_cell.set_costs saved)
+    (fun () ->
+      List.iter
+        (fun (mname, model) ->
+          Smr_runtime.Sim_cell.set_costs model;
+          let rs =
+            exec_cells ?domains ?cache ?on_progress "sensitivity"
+              (List.map (fun name -> hashmap_cell ~scale name 36) schemes)
+          in
+          Fmt.pf ppf "%-20s" mname;
+          List.iter
+            (fun r ->
+              pp_cells [ (12, 3) ] ppf
+                (Option.map (fun (r : Workload.result) -> [ r.throughput ]) r))
+            rs;
+          Fmt.pf ppf "@.")
+        models);
+  Fmt.pf ppf "@."

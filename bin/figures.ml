@@ -307,66 +307,57 @@ let verify_cmd =
             (V.modes_of_budgets budgets)
         in
         let shape = V.default_shape in
-        let failed = ref 0 in
-        let cells = ref 0 in
-        let skipped = ref 0 in
+        let cells = V.run_matrix ~seed ~budgets ~shape ~modes () in
+        let skipped =
+          List.length
+            (List.filter
+               (fun c -> match c.V.c_verdict with V.Skipped _ -> true | _ -> false)
+               cells)
+        in
+        let failed = List.length (V.failures cells) in
         List.iter
-          (fun (sname, structure) ->
-            let scheme =
-              match V.scheme_of_name sname with
-              | Some s -> (sname, s)
-              | None -> Fmt.failwith "unknown scheme %s" sname
-            in
-            List.iter
-              (fun (m, churn) ->
-                let cell =
-                  V.run_cell ~seed ~budgets ~shape ~churn scheme structure m
+          (fun (c : V.cell) ->
+            match c.V.c_verdict with
+            | V.Pass _ | V.Skipped _ -> ()
+            | V.Fail { schedule; shrunk; message } ->
+                let sname = c.V.c_scheme and structure = c.V.c_structure in
+                let m = c.V.c_mode and churn = c.V.c_churn in
+                let file =
+                  Printf.sprintf "%s/TRACE_%s_%s_%s%s.txt" trace_dir
+                    (file_safe sname)
+                    (V.structure_name structure)
+                    (V.mode_name m)
+                    (if churn then "_churn" else "")
                 in
-                incr cells;
-                match cell.V.c_verdict with
-                | V.Pass _ -> ()
-                | V.Skipped _ -> incr skipped
-                | V.Fail { schedule; shrunk; message } ->
-                    incr failed;
-                    let file =
-                      Printf.sprintf "%s/TRACE_%s_%s_%s%s.txt" trace_dir
-                        (file_safe sname)
-                        (V.structure_name structure)
-                        (V.mode_name m)
-                        (if churn then "_churn" else "")
-                    in
-                    T.save ~path:file
-                      {
-                        T.meta =
-                          [
-                            ("scheme", sname);
-                            ("structure", V.structure_name structure);
-                            ("mode", V.mode_name m);
-                            ("churn", string_of_bool churn);
-                            ("seed", string_of_int seed);
-                            ("threads", string_of_int shape.V.threads);
-                            ("ops", string_of_int shape.V.ops);
-                            ("keys", string_of_int shape.V.keys);
-                            ("prog_seed", string_of_int shape.V.prog_seed);
-                          ];
-                        faults = [];
-                        schedule = shrunk;
-                        message;
-                      };
-                    Fmt.pr
-                      "FAIL %-12s %-8s %-6s %-6s: %s (schedule %d decisions, \
-                       shrunk to %d) -> %s@."
-                      sname
-                      (V.structure_name structure)
-                      (V.mode_name m)
-                      (if churn then "churn" else "static")
-                      message (List.length schedule) (List.length shrunk) file)
-              (List.concat_map
-                 (fun m -> [ (m, false); (m, true) ])
-                 modes))
-          (Plan.pairs (Plan.conformance ()));
-        Fmt.pr "conformance: %d cells (%d skipped), %d violation(s)@." !cells
-          !skipped !failed;
+                T.save ~path:file
+                  {
+                    T.meta =
+                      [
+                        ("scheme", sname);
+                        ("structure", V.structure_name structure);
+                        ("mode", V.mode_name m);
+                        ("churn", string_of_bool churn);
+                        ("seed", string_of_int seed);
+                        ("threads", string_of_int shape.V.threads);
+                        ("ops", string_of_int shape.V.ops);
+                        ("keys", string_of_int shape.V.keys);
+                        ("prog_seed", string_of_int shape.V.prog_seed);
+                      ];
+                    faults = [];
+                    schedule = shrunk;
+                    message;
+                  };
+                Fmt.pr
+                  "FAIL %-12s %-8s %-6s %-6s: %s (schedule %d decisions, \
+                   shrunk to %d) -> %s@."
+                  sname
+                  (V.structure_name structure)
+                  (V.mode_name m)
+                  (if churn then "churn" else "static")
+                  message (List.length schedule) (List.length shrunk) file)
+          cells;
+        Fmt.pr "conformance: %d cells (%d skipped), %d violation(s)@."
+          (List.length cells) skipped failed;
         (* Robustness probes: each scheme's peak unreclaimed under a
            stall-injected reader, judged against its own robust flag. *)
         let writers = 2 in
@@ -408,7 +399,7 @@ let verify_cmd =
         Fmt.pr "waitfree: %s (bound %d)@."
           (if wf.V.wf_ok then "wait-free ok" else "MISMATCH")
           wf.V.wf_bound;
-        if !failed > 0 || !mismatches > 0 || not wf.V.wf_ok then exit 1
+        if failed > 0 || !mismatches > 0 || not wf.V.wf_ok then exit 1
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(

@@ -178,7 +178,8 @@ let run_cell ?(seed = 0) ?(budgets = smoke_budgets) ?(shape = default_shape)
   }
 
 let run_matrix ?(seed = 0) ?(budgets = smoke_budgets)
-    ?(shape = default_shape) ?(axes = Plan.conformance ()) () : cell list =
+    ?(shape = default_shape) ?(axes = Plan.conformance ())
+    ?(modes = modes_of_budgets budgets) () : cell list =
   List.concat_map
     (fun (scheme_name, structure) ->
       match scheme_of_name scheme_name with
@@ -191,7 +192,7 @@ let run_matrix ?(seed = 0) ?(budgets = smoke_budgets)
                   run_cell ~seed ~budgets ~shape ~churn (scheme_name, s)
                     structure mode)
                 [ false; true ])
-            (modes_of_budgets budgets))
+            modes)
     (Plan.pairs axes)
 
 let failures cells =

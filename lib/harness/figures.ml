@@ -12,11 +12,6 @@ type scale = Plan.scale = Quick | Full
 
 let ( // ) a b = float_of_int a /. float_of_int b
 
-(* Re-exported so existing callers keep one import point. *)
-let base_cfg = Plan.base_cfg
-let x86_grid = Plan.x86_grid
-let ppc_grid = Plan.ppc_grid
-
 type series = { scheme : string; points : (int * Workload.result) list }
 type grid_run = { title : string; grid : int list; series : series list }
 
@@ -112,8 +107,8 @@ let fig_pair ?domains ?cache ?on_progress ppf ~scale ~arch ~mix
     ~(thr_fig : string) ~(unr_fig : string) =
   let grid =
     match arch with
-    | Registry.X86 -> x86_grid scale
-    | Registry.Ppc -> ppc_grid scale
+    | Registry.X86 -> Plan.x86_grid scale
+    | Registry.Ppc -> Plan.ppc_grid scale
   in
   let letters = [ "a"; "b"; "c"; "d" ] in
   List.iteri
@@ -173,7 +168,7 @@ let fig10a ?domains ?cache ?on_progress ppf ~scale =
     "(Hyaline-S capped at k=%d slots; its adaptive variant resizes, §4.3)@.@."
     capped_slots;
   let cfg_plain =
-    { (base_cfg ~max_threads:1) with slots = 16; batch_size = 16; era_freq = 16 }
+    { (Plan.base_cfg ~max_threads:1) with slots = 16; batch_size = 16; era_freq = 16 }
   in
   let cfg_capped ~adaptive =
     { cfg_plain with slots = capped_slots; ack_threshold = 16; adaptive }
@@ -222,7 +217,7 @@ let fig10b ?domains ?cache ?on_progress ppf ~scale =
   in
   let slots = 8 in
   Fmt.pf ppf "# Fig. 10b — trimming, hash map, k <= %d slots@.@." slots;
-  let cfg = { (base_cfg ~max_threads:1) with slots } in
+  let cfg = { (Plan.base_cfg ~max_threads:1) with slots } in
   let entries =
     [
       ("Hyaline(trim)", "Hyaline", true);
@@ -254,7 +249,7 @@ let fig10b ?domains ?cache ?on_progress ppf ~scale =
 (* Micro-costs measured on the raw scheme API, one simulated thread. *)
 let micro_costs (module S : Registry.SMR) =
   let module Sched = Smr_runtime.Scheduler in
-  let cfg = { (base_cfg ~max_threads:2) with batch_size = 8; slots = 4 } in
+  let cfg = { (Plan.base_cfg ~max_threads:2) with batch_size = 8; slots = 4 } in
   let iters = 2_000 in
   let measure f =
     let sched = Sched.create () in
@@ -305,8 +300,8 @@ let transparency = function
 
 let table1 ppf =
   Fmt.pf ppf "# Table 1 — scheme comparison (measured costs in cost units)@.@.";
-  Fmt.pf ppf "%-12s %8s %12s %12s %10s %10s %10s@." "scheme" "robust"
-    "transparent" "enter+leave" "deref" "retire" "";
+  Fmt.pf ppf "%-12s %8s %12s %12s %10s %10s@." "scheme" "robust"
+    "transparent" "enter+leave" "deref" "retire";
   List.iter
     (fun (name, (module S : Registry.SMR)) ->
       let el, de, re = micro_costs (module S) in

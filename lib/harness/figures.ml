@@ -344,16 +344,25 @@ let hashmap_cell ?cfg ?label ~scale scheme threads =
 let ablation ?domains ?cache ?on_progress ppf ~scale =
   Fmt.pf ppf "# Ablations (hash map, write-heavy, 9 threads)@.@.";
   let threads = 9 in
-  (* One table: a (printed key, cell) per row. *)
+  (* One table: a (printed key, cell) per row. Unreclaimed alone cannot
+     show §3.2's batch-size trade-off: a Hyaline node counts only once its
+     batch seals, so a batch that never seals reads 0. The arena's
+     resident-bytes high-water mark counts every node still held. *)
   let table name key rows =
-    Fmt.pf ppf "%-12s %14s %14s@." key "throughput" "unreclaimed";
+    Fmt.pf ppf "%-12s %14s %14s %14s@." key "throughput" "unreclaimed"
+      "resident-hwm";
     let rs = exec_cells ?domains ?cache ?on_progress name (List.map snd rows) in
     List.iter2
       (fun (k, _) r ->
         Fmt.pf ppf "%-12s%a@." k
-          (pp_cells [ (14, 3); (14, 1) ])
+          (pp_cells [ (14, 3); (14, 1); (14, 0) ])
           (Option.map
-             (fun (r : Workload.result) -> [ r.throughput; r.avg_unreclaimed ])
+             (fun (r : Workload.result) ->
+               [
+                 r.throughput;
+                 r.avg_unreclaimed;
+                 float_of_int r.metrics.mem.bytes_hwm;
+               ])
              r))
       rows rs;
     Fmt.pf ppf "@."

@@ -27,4 +27,5 @@ let () =
       ("executor", Test_executor.suite);
       ("service", Test_service.suite);
       ("scenario", Test_scenario.suite);
+      ("figures", Test_figures.suite);
     ]

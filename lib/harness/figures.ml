@@ -339,6 +339,11 @@ let hashmap_cell ?cfg ?label ~scale scheme threads =
   Plan.cell ?cfg ?label ~scale ~mix:Workload.write_heavy ~scheme
     ~structure:Registry.Hashmap ~threads ()
 
+(* One hash-map cell per scheme at [threads], as one plan. *)
+let per_scheme ?domains ?cache ?on_progress name ~scale threads schemes =
+  exec_cells ?domains ?cache ?on_progress name
+    (List.map (fun s -> hashmap_cell ~scale s threads) schemes)
+
 (* -- Ablations ------------------------------------------------------------ *)
 
 let ablation ?domains ?cache ?on_progress ppf ~scale =
@@ -407,22 +412,18 @@ let breakdown ?domains ?cache ?on_progress ppf ~scale =
   Fmt.pf ppf "%-12s %8s %8s %8s %8s %8s %8s %8s %9s@." "scheme" "reads"
     "writes" "plain-w" "cas-ok" "cas-fail" "faa" "swap" "cost/op";
   let names = Registry.scheme_names Registry.X86 in
-  let rs =
-    exec_cells ?domains ?cache ?on_progress "breakdown"
-      (List.map (fun name -> hashmap_cell ~scale name 9) names)
+  let rs = per_scheme ?domains ?cache ?on_progress "breakdown" ~scale 9 names in
+  (* [Workload.run] scopes the per-class counters to the measured phase,
+     so prefill and concurrent callers cannot pollute them. *)
+  let per_op (r : Workload.result) =
+    let c = r.op_costs in
+    let per x = x // max 1 r.ops in
+    [ per c.reads; per c.writes; per c.plain_writes; per c.cas_ok;
+      per c.cas_fail; per c.faas; per c.swaps;
+      per (Smr_runtime.Sim_cell.total_cost c) ]
   in
   List.iter2
     (fun name r ->
-      (* [Workload.run] already scopes the per-class counters to the
-         measured phase — no global reset needed, so concurrent callers
-         and the prefill phase can no longer pollute the numbers. *)
-      let per_op (r : Workload.result) =
-        let c = r.op_costs in
-        let per x = float_of_int x /. float_of_int (max 1 r.ops) in
-        [ per c.reads; per c.writes; per c.plain_writes; per c.cas_ok;
-          per c.cas_fail; per c.faas; per c.swaps;
-          per (Smr_runtime.Sim_cell.total_cost c) ]
-      in
       Fmt.pf ppf "%-12s%a@." name
         (pp_cells (List.init 7 (fun _ -> (8, 2)) @ [ (9, 1) ]))
         (Option.map per_op r))
@@ -437,10 +438,7 @@ let breakdown ?domains ?cache ?on_progress ppf ~scale =
 let metrics ?domains ?cache ?on_progress ppf ~scale =
   Fmt.pf ppf "# Scheme metrics (hash map, write-heavy, 9 threads)@.@.";
   let names = Registry.scheme_names Registry.X86 in
-  let rs =
-    exec_cells ?domains ?cache ?on_progress "metrics"
-      (List.map (fun name -> hashmap_cell ~scale name 9) names)
-  in
+  let rs = per_scheme ?domains ?cache ?on_progress "metrics" ~scale 9 names in
   List.iter2
     (fun name -> function
       | Some (r : Workload.result) -> Fmt.pf ppf "%a@." Smr.Metrics.pp r.metrics
@@ -478,8 +476,8 @@ let sensitivity ?domains ?cache ?on_progress ppf ~scale =
         (fun (mname, model) ->
           Smr_runtime.Sim_cell.set_costs model;
           let rs =
-            exec_cells ?domains ?cache ?on_progress "sensitivity"
-              (List.map (fun name -> hashmap_cell ~scale name 36) schemes)
+            per_scheme ?domains ?cache ?on_progress "sensitivity" ~scale 36
+              schemes
           in
           Fmt.pf ppf "%-20s" mname;
           List.iter

@@ -1,5 +1,6 @@
-(** CLI for regenerating individual figures, or single workload points with
-    custom parameters — the knob-twiddling companion to [bench/main.exe].
+(** CLI for the paper's evaluation: every table and figure ([all], or one
+    section at a time), the verdict scenarios, schedule verification, and
+    single workload points with custom parameters.
 
     Every sweep command runs through the plan executor, so results are
     cached under [.sweep-cache/] by default ([--no-cache] disables,

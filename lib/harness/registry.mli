@@ -105,5 +105,5 @@ module Sim : S
 (** Over {!Smr_runtime.Sim_runtime} — figures, verify, workload sweeps. *)
 
 module Native : S
-(** Over {!Smr_runtime.Native_runtime} — stress tests and Bechamel
-    micro-benchmarks. *)
+(** Over {!Smr_runtime.Native_runtime} — stress tests and the native
+    parity matrix and micro-benchmarks. *)

@@ -1,6 +1,6 @@
 (** Native runtime: [Stdlib.Atomic] cells and [Domain]-local thread ids.
 
-    Used for true-parallelism stress tests and Bechamel micro-benchmarks.
+    Used for true-parallelism stress tests and native micro-benchmarks.
     Thread ids are stored in domain-local state and assigned by
     {!Native_runner.run}. *)
 

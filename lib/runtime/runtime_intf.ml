@@ -4,7 +4,7 @@
     a functor over {!module-type:S}. Two implementations exist:
 
     - {!Native_runtime}: [Stdlib.Atomic] and [Domain] — true parallelism,
-      used by stress tests and the Bechamel micro-benchmarks;
+      used by stress tests and the native parity micro-benchmarks;
     - {!Sim_runtime}: cells instrumented with an effects-based deterministic
       scheduler ({!Scheduler}) — every shared-memory operation is a
       preemption point with a configurable cost, used by all figure

@@ -323,6 +323,35 @@ let test_flush_pads_partial_batches () =
     (after.retired > 5);
   check_no_leak "flush" after
 
+(* ---- Retire-path allocation --------------------------------------------- *)
+
+(* The allocation floor under the retire path (DESIGN.md §15): one fiber
+   doing enter/alloc/retire/leave pairs through the real engine (slot-list
+   insertion, batch sealing, FIFO frees) allocates at most 28.73 OCaml
+   minor words per pair — 1.1x the 26.12 measured once both engines
+   shared one retire front-end. *)
+let test_retire_minor_words () =
+  let ops = 20_000 in
+  let t = Hyaline.create Smr.Smr_intf.default_config in
+  ignore (Hyaline.register ~tid:0 t);
+  let sched = Sched.create ~seed:6 () in
+  ignore
+    (Sched.spawn sched (fun () ->
+         for i = 1 to ops do
+           let g = Hyaline.enter t in
+           Hyaline.retire t g (Hyaline.alloc t i);
+           Hyaline.leave t g
+         done;
+         Hyaline.flush t));
+  let before = Gc.minor_words () in
+  (match Sched.run sched with
+  | Sched.All_finished -> ()
+  | _ -> Alcotest.fail "retire loop did not finish");
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if per_op > 28.73 then
+    Alcotest.failf "retire path allocates %.2f minor words/op (> 28.73)"
+      per_op
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_adjs_cancels;
@@ -344,4 +373,5 @@ let suite =
     Alcotest.test_case "llsc-sequential" `Quick test_llsc_sequential_protocol;
     Alcotest.test_case "llsc-stress" `Quick test_llsc_stress_vs_dwcas;
     Alcotest.test_case "flush-pads" `Quick test_flush_pads_partial_batches;
+    Alcotest.test_case "retire-minor-words" `Quick test_retire_minor_words;
   ]

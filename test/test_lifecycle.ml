@@ -52,6 +52,26 @@ let test_registry_unit () =
   Alcotest.(check int) "reuse counter" 1 (v "slot_reuses");
   Alcotest.(check int) "peak live" 2 (v "peak_live_slots")
 
+(* Scans walk the live slots, not the capacity: an Epoch flush with 2
+   registered slots charges the same simulated cost whether the scheme
+   was sized for 2 threads or for 144. *)
+let test_scan_cost_capacity_independent () =
+  let flush_cost ~capacity =
+    let t =
+      Ebr.create { Smr.Smr_intf.default_config with max_threads = capacity }
+    in
+    for tid = 0 to 1 do
+      ignore (Ebr.register ~tid t)
+    done;
+    run_threads ~seed:4 ~threads:1 (fun _ ->
+        let g = Ebr.enter t in
+        Ebr.retire t g (Ebr.alloc t 0);
+        Ebr.leave t g;
+        Ebr.flush t)
+  in
+  Alcotest.(check int) "flush cost at capacity 144 = at capacity 2"
+    (flush_cost ~capacity:2) (flush_cost ~capacity:144)
+
 (* -- dynamic spawn from a running fiber ----------------------------------- *)
 
 (* The documented dynamic-spawn path: a running thread spawns a child
@@ -268,6 +288,8 @@ let test_churn_free_spec_unchanged () =
 let suite =
   [
     Alcotest.test_case "registry-unit" `Quick test_registry_unit;
+    Alcotest.test_case "scan-cost-capacity-independent" `Quick
+      test_scan_cost_capacity_independent;
     Alcotest.test_case "dynamic-spawn" `Quick test_dynamic_spawn;
     Alcotest.test_case "spawn-at-events" `Quick test_spawn_at_events;
     Alcotest.test_case "spawn-at-chaining" `Quick test_spawn_at_chaining;

@@ -367,94 +367,23 @@ let run_cell_exn c =
            (Registry.structure_name c.Plan.structure)
            msg)
 
-let run_sequential ?cache ?on_progress (plan : Plan.t) : summary =
-  let total = List.length plan.Plan.cells in
-  let started = Sys.time () in
-  let executed = ref 0 and cache_hits = ref 0 and failed = ref 0 in
-  let rows =
-    List.mapi
-      (fun idx cell ->
-        let hash = Plan.cell_hash cell in
-        let cached =
-          match cache with
-          | Some dir ->
-              Profile.time "cache.lookup" (fun () -> cache_lookup ~dir cell hash)
-          | None -> None
-        in
-        let outcome, from_cache =
-          match cached with
-          | Some o ->
-              incr cache_hits;
-              (match o with Failed _ -> incr failed | Done _ -> ());
-              (o, true)
-          | None -> (
-              incr executed;
-              match Profile.time "cell.simulate" (fun () -> run_cell cell) with
-              | Done r as ok ->
-                  Profile.add_steps "cell.simulate" r.Workload.steps;
-                  Option.iter
-                    (fun dir ->
-                      Profile.time "cache.store" (fun () ->
-                          cache_store ~dir cell hash ok))
-                    cache;
-                  (ok, false)
-              | Failed _ as bad ->
-                  incr failed;
-                  Option.iter
-                    (fun dir ->
-                      Profile.time "cache.store" (fun () ->
-                          cache_store ~dir cell hash bad))
-                    cache;
-                  (bad, false))
-        in
-        (match on_progress with
-        | None -> ()
-        | Some f ->
-            let finished = idx + 1 in
-            let elapsed = Sys.time () -. started in
-            let eta =
-              if finished = 0 then 0.0
-              else elapsed /. float_of_int finished
-                   *. float_of_int (total - finished)
-            in
-            f
-              {
-                pr_index = finished;
-                pr_total = total;
-                pr_cell = cell;
-                pr_cached = from_cache;
-                pr_ok = (match outcome with Done _ -> true | Failed _ -> false);
-                pr_elapsed = elapsed;
-                pr_eta = eta;
-              });
-        { cell; hash; outcome; from_cache })
-      plan.Plan.cells
-  in
-  {
-    plan_name = plan.Plan.name;
-    rows;
-    stats =
-      {
-        total;
-        executed = !executed;
-        cache_hits = !cache_hits;
-        failed = !failed;
-      };
-  }
-
-(* Parallel mode: a shared atomic next-cell counter is the work queue
-   (cells are independent and coarse-grained, so eager index handout is
-   as good as stealing), the plan-ordered rows array is the join point
-   for results, and the on-disk cache is the join point across runs —
-   its write-then-rename stores and key-validated lookups were already
-   safe under concurrent writers. Every cell simulates on whichever
-   worker domain claims it; the scheduler and cell-accounting state are
-   domain-local, so results are bit-identical to the sequential path.
-   Only the progress callback order (completion order, wall-clock ETA)
-   differs. *)
-let run_parallel ~workers ?cache ?on_progress (plan : Plan.t) : summary =
+(* One loop for every width: a shared atomic next-cell counter is the
+   work queue (cells are independent and coarse-grained, so eager index
+   handout is as good as stealing), the plan-ordered rows array is the
+   join point for results, and the on-disk cache is the join point
+   across runs — its write-then-rename stores and key-validated lookups
+   are safe under concurrent writers. With more than one worker every
+   cell simulates on whichever spawned domain claims it; the scheduler
+   and cell-accounting state are domain-local, so results are
+   bit-identical to one worker, which runs inline on the calling domain
+   and never spawns (a spawned domain makes [Unix.fork] unsafe for the
+   native watchdog). Only the progress callback order (completion
+   order) differs. *)
+let run ?(domains = 1) ?cache ?on_progress (plan : Plan.t) : summary =
+  Option.iter mkdir_p cache;
   let cells = Array.of_list plan.Plan.cells in
   let total = Array.length cells in
+  let workers = min domains total in
   let rows : row option array = Array.make total None in
   let next = Atomic.make 0 in
   let executed = Atomic.make 0
@@ -481,25 +410,17 @@ let run_parallel ~workers ?cache ?on_progress (plan : Plan.t) : summary =
           Atomic.incr cache_hits;
           (match o with Failed _ -> Atomic.incr failed | Done _ -> ());
           (o, true)
-      | None -> (
+      | None ->
           Atomic.incr executed;
-          match Profile.time "cell.simulate" (fun () -> run_cell cell) with
-          | Done r as ok ->
-              Profile.add_steps "cell.simulate" r.Workload.steps;
-              Option.iter
-                (fun dir ->
-                  Profile.time "cache.store" (fun () ->
-                      cache_store ~dir cell hash ok))
-                cache;
-              (ok, false)
-          | Failed _ as bad ->
-              Atomic.incr failed;
-              Option.iter
-                (fun dir ->
-                  Profile.time "cache.store" (fun () ->
-                      cache_store ~dir cell hash bad))
-                cache;
-              (bad, false))
+          let o = Profile.time "cell.simulate" (fun () -> run_cell cell) in
+          (match o with
+          | Done r -> Profile.add_steps "cell.simulate" r.Workload.steps
+          | Failed _ -> Atomic.incr failed);
+          Option.iter
+            (fun dir ->
+              Profile.time "cache.store" (fun () -> cache_store ~dir cell hash o))
+            cache;
+          (o, false)
     in
     rows.(idx) <- Some { cell; hash; outcome; from_cache };
     match on_progress with
@@ -533,12 +454,12 @@ let run_parallel ~workers ?cache ?on_progress (plan : Plan.t) : summary =
     in
     loop ()
   in
-  let ds = Array.init workers (fun _ -> Domain.spawn worker) in
-  Array.iter Domain.join ds;
+  if workers <= 1 then worker ()
+  else Array.iter Domain.join (Array.init workers (fun _ -> Domain.spawn worker));
   let rows =
     Array.to_list
       (Array.map
-         (function Some r -> r | None -> assert false (* joined above *))
+         (function Some r -> r | None -> assert false (* all claimed above *))
          rows)
   in
   {
@@ -552,12 +473,6 @@ let run_parallel ~workers ?cache ?on_progress (plan : Plan.t) : summary =
         failed = Atomic.get failed;
       };
   }
-
-let run ?(domains = 1) ?cache ?on_progress (plan : Plan.t) : summary =
-  Option.iter mkdir_p cache;
-  let workers = min domains (List.length plan.Plan.cells) in
-  if workers <= 1 then run_sequential ?cache ?on_progress plan
-  else run_parallel ~workers ?cache ?on_progress plan
 
 (* -- reporting ------------------------------------------------------------ *)
 

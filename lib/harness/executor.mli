@@ -74,8 +74,9 @@ val run :
     failure rows, cache files and any report built from the summary are
     byte-identical to a sequential run — guarded by the determinism tests
     in [test/test_executor.ml]. Only the progress callbacks differ:
-    they arrive in completion order (still one per cell, serialized) and
-    time wall-clock rather than CPU seconds. *)
+    they arrive in completion order (still one per cell, serialized).
+    With one worker the cells run inline on the calling domain, which
+    never spawns. Progress times are wall-clock seconds either way. *)
 
 val cacheable_failure : string -> bool
 (** True for failure messages the cache persists — currently the

@@ -124,17 +124,6 @@ type t = {
          built once at [create] — resuming a thread allocates nothing *)
 }
 
-(* The scheduler running on this domain, if any. Domain-local: each
-   parallel sweep worker runs its own deterministic scheduler, and
-   schedulers never migrate between domains, so a per-domain slot keeps
-   the single-domain invariant every other comment here relies on. The
-   slot is a ref fetched once per operation — [Domain.DLS.get] on an
-   already-initialised key is an array load. *)
-let active_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let[@inline] active () = Domain.DLS.get active_key
-
 let dummy_fn () = ()
 
 (* An immediate stored where a continuation is expected but never read:
@@ -255,6 +244,44 @@ let create ?(seed = 42) () =
   in
   t.handler <- make_handler t;
   t
+
+(* -- the domain context ----------------------------------------------------
+
+   Everything the simulator keeps per domain, behind one DLS key: the
+   scheduler running on this domain and the cell accounting {!Sim_cell}
+   charges into. Each parallel sweep worker runs its own deterministic
+   scheduler and prices, counts and numbers its own cells without
+   observing the others, and schedulers never migrate between domains,
+   so a cell simulated on worker domain k is bit-identical to the same
+   cell simulated on the main domain. A cell keeps a pointer to the
+   context of the domain that built it, so its operations reach the
+   running scheduler and the counters without a lookup. *)
+type domain = {
+  mutable active : t;  (* the scheduler running here, or [idle] *)
+  price : int array;
+  op_n : int array;
+  op_c : int array;
+  mutable next_id : int;
+}
+
+(* Stands in for "no scheduler": it never runs, so its [current] stays
+   -1 and every step through it is a no-op. Shared by all domains, which
+   only ever read it. *)
+let idle = create ()
+
+let domain_key : domain Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let price = Array.make Sim_costs.n_classes 0 in
+      Sim_costs.set_prices price Sim_costs.default_costs;
+      {
+        active = idle;
+        price;
+        op_n = Array.make Sim_costs.n_classes 0;
+        op_c = Array.make Sim_costs.n_classes 0;
+        next_id = 0;
+      })
+
+let[@inline] domain () = Domain.DLS.get domain_key
 
 let emit t ev = match t.tracer with None -> () | Some f -> f ev
 
@@ -407,12 +434,11 @@ let sleep_pop t =
   tid
 
 let self () =
-  match !(active ()) with
-  | Some t when t.current >= 0 -> t.current
-  | Some _ | None -> invalid_arg "Scheduler.self: no thread is running"
+  let t = (domain ()).active in
+  if t.current >= 0 then t.current
+  else invalid_arg "Scheduler.self: no thread is running"
 
-let inside () =
-  match !(active ()) with Some t -> t.current >= 0 | None -> false
+let inside () = (domain ()).active.current >= 0
 
 (* The step hot path, called once per simulated shared-memory operation.
    Charges the clock, records the footprint and decides the next
@@ -450,20 +476,17 @@ let[@inline] step_on t cost cell write =
     end
   end
 
-let step_at ~cell ~write cost =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> if t.current >= 0 then step_on t cost cell write
+let[@inline] step_at d ~cell ~write cost =
+  let t = d.active in
+  if t.current >= 0 then step_on t cost cell write
 
 let step ?access cost =
-  match !(active ()) with
-  | None -> ()
-  | Some t ->
-      if t.current >= 0 then begin
-        match access with
-        | None -> step_on t cost (-1) false
-        | Some a -> step_on t cost a.cell a.write
-      end
+  let t = (domain ()).active in
+  if t.current >= 0 then begin
+    match access with
+    | None -> step_on t cost (-1) false
+    | Some a -> step_on t cost a.cell a.write
+  end
 
 let stall () =
   if inside () then Effect.perform Stall
@@ -485,14 +508,14 @@ let unstall t tid =
    periodic service threads wait on. A no-op when [at] is already due, so
    callers can sleep unconditionally. *)
 let sleep_until at =
-  match !(active ()) with
-  | Some t when t.current >= 0 ->
-      if at > t.clock then begin
-        sleep_push t ~at ~tid:t.current;
-        refresh_timed t;
-        Effect.perform Stall
-      end
-  | Some _ | None -> invalid_arg "Scheduler.sleep_until: no thread is running"
+  let t = (domain ()).active in
+  if t.current < 0 then
+    invalid_arg "Scheduler.sleep_until: no thread is running"
+  else if at > t.clock then begin
+    sleep_push t ~at ~tid:t.current;
+    refresh_timed t;
+    Effect.perform Stall
+  end
 
 (* Wake every sleeper whose time has come. A queue entry whose thread was
    meanwhile killed, finished, or externally unstalled is simply dropped
@@ -596,9 +619,9 @@ let[@inline] dispatch t th =
   t.current <- -1
 
 let run ?(budget = max_int) t =
-  let slot = active () in
-  let previous = !slot in
-  slot := Some t;
+  let d = domain () in
+  let previous = d.active in
+  d.active <- t;
   t.deadline <- (if budget = max_int then max_int else t.clock + budget);
   t.pending <- -1;
   let rec loop () =
@@ -646,7 +669,7 @@ let run ?(budget = max_int) t =
       end
     end
   in
-  Fun.protect ~finally:(fun () -> slot := previous) loop
+  Fun.protect ~finally:(fun () -> d.active <- previous) loop
 
 let rehook t =
   t.hooked <- (t.pick_fn != None || t.on_decision != None)

@@ -110,11 +110,34 @@ val step : ?access:access -> int -> unit
     no-op, so simulated structures remain usable from plain sequential
     code and unit tests. *)
 
-val step_at : cell:int -> write:bool -> int -> unit
-(** Allocation-free variant of {!step} for the per-operation hot path:
-    the footprint is passed as plain [cell]/[write] arguments instead of
-    an [access option] box. [cell = -1] means unknown footprint.
-    Semantically identical to [step ~access:{cell; write} cost]. *)
+(** {2 The domain context}
+
+    Everything the simulator keeps per domain, behind one [Domain.DLS]
+    key: the scheduler running on the domain and the cell accounting
+    {!Sim_cell} charges into (per-op-class prices, counts and cost, and
+    the cell-id counter). {!Sim_cell.make} stores the context in the cell,
+    so a cell operation reaches both without a lookup. *)
+
+type domain = {
+  mutable active : t;
+      (** the scheduler {!run} is executing on this domain; a scheduler
+          that never runs when none is *)
+  price : int array;  (** per {!Sim_costs} op class *)
+  op_n : int array;  (** operations charged, per op class *)
+  op_c : int array;  (** cost charged, per op class *)
+  mutable next_id : int;  (** the last cell id handed out *)
+}
+
+val domain : unit -> domain
+(** The calling domain's context. *)
+
+val step_at : domain -> cell:int -> write:bool -> int -> unit
+(** Allocation- and lookup-free variant of {!step} for the per-operation
+    hot path: the domain context comes from the cell, and the footprint
+    is passed as plain [cell]/[write] arguments instead of an
+    [access option] box. [cell = -1] means unknown footprint. On the
+    calling domain's context it is semantically identical to
+    [step ~access:{cell; write} cost]. *)
 
 val stall : unit -> unit
 (** Park the calling thread until {!unstall}. *)

@@ -9,90 +9,21 @@
     FAA sits in between.
 
     Outside a scheduler the operations degrade to plain sequential ones, so
-    the same structures work in ordinary unit tests. *)
+    the same structures work in ordinary unit tests.
 
-type costs = {
-  read : int;
-  write : int;
-  cas : int;
-  faa : int;
-  swap : int;
-  alloc : int;  (** per-allocation charge: size-class lookup + free-list pop *)
-}
+    {b A cell is charged on the domain that built it.} {!make} stores the
+    building domain's {!Scheduler.domain} context in the cell, and every
+    operation steps that domain's running scheduler and bumps that
+    domain's counters through it, with no [Domain.DLS] lookup. So a cell
+    must be used only on the domain that made it; the sweep executor
+    builds every structure inside the run of its cell, on the worker that
+    simulates it. Only {!make} and {!charge_alloc}, which have no cell to
+    read the context from, look it up. *)
 
-(* Calibrated to Schweizer, Besta & Hoefler's measurements (the paper's
-   [33]): on modern x86 an uncontended lock-prefixed RMW (CAS/FAA/SWP) and
-   a fenced store both cost ≈4-5 L1 loads. [write] models the
-   sequentially-consistent store every SMR publication write needs — the
-   §3.3 comparison of EBR's writes-with-barriers against Hyaline's
-   uncontended CAS hinges on these being comparable. *)
-(* [alloc] prices the arena fast path (size-class dispatch plus a
-   free-list pop or bump) at a handful of loads — cheap enough that it
-   never dominates, expensive enough that allocation is a real preemption
-   point in the interleaving space. *)
-let default_costs =
-  { read = 1; write = 4; cas = 4; faa = 3; swap = 4; alloc = 5 }
+include Sim_costs
 
-(* -- op classes ------------------------------------------------------------
-
-   Operations are int-coded so the hot path indexes flat arrays (price,
-   count, accumulated cost) with compile-time-constant indices instead of
-   dereferencing a record behind a ref per operation. CAS success and
-   failure are distinct classes (the retry-rate statistic) that share one
-   price; [plain] is the pre-publication store, priced like a load. *)
-
-let n_classes = 8
-let k_read = 0
-let k_write = 1
-let k_plain = 2
-let k_cas_ok = 3
-let k_cas_fail = 4
-let k_faa = 5
-let k_swap = 6
-let k_alloc = 7
-
-(* All mutable accounting state is domain-local, like the scheduler's
-   active slot: each parallel sweep worker prices, counts and numbers its
-   own cells without observing the others, so a cell simulated on worker
-   domain k is bit-identical to the same cell simulated on the main
-   domain. One [Domain.DLS.get] per operation (an array load once the key
-   is initialised) is the entire cross-domain cost. *)
-type dstate = {
-  price : int array;  (* per op class, rebuilt by [set_costs] *)
-  op_n : int array;  (* counts per class — the mix behind Table 1 *)
-  op_c : int array;  (* accumulated simulated cost per class *)
-  mutable model : costs;  (* the active cost model, for ablations *)
-  mutable id_counter : int;
-}
-
-let apply_costs d (c : costs) =
-  d.model <- c;
-  d.price.(k_read) <- c.read;
-  d.price.(k_write) <- c.write;
-  d.price.(k_plain) <- c.read;
-  d.price.(k_cas_ok) <- c.cas;
-  d.price.(k_cas_fail) <- c.cas;
-  d.price.(k_faa) <- c.faa;
-  d.price.(k_swap) <- c.swap;
-  d.price.(k_alloc) <- c.alloc
-
-let dstate_key : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          price = Array.make n_classes 0;
-          op_n = Array.make n_classes 0;
-          op_c = Array.make n_classes 0;
-          model = default_costs;
-          id_counter = 0;
-        }
-      in
-      apply_costs d default_costs;
-      d)
-
-let[@inline] dstate () = Domain.DLS.get dstate_key
-let set_costs (c : costs) = apply_costs (dstate ()) c
-let current_costs () = (dstate ()).model
+let set_costs (c : costs) = set_prices (Scheduler.domain ()).price c
+let current_costs () = costs_of_prices (Scheduler.domain ()).price
 
 (* Aggregated view of the per-class counters — the shape the executor's
    result cache serializes, kept as a record for JSON round-trip
@@ -135,14 +66,14 @@ let zero_counts () =
   }
 
 let reset_counts () =
-  let d = dstate () in
+  let d = Scheduler.domain () in
   Array.fill d.op_n 0 n_classes 0;
   Array.fill d.op_c 0 n_classes 0
 
 (* Snapshot of this domain's counters, for before/after deltas around a
    measured phase (reading plain ints never perturbs the simulation). *)
 let snapshot_counts () =
-  let { op_n; op_c; _ } = dstate () in
+  let { Scheduler.op_n; op_c; _ } = Scheduler.domain () in
   {
     reads = op_n.(k_read);
     writes = op_n.(k_write);
@@ -186,7 +117,7 @@ let total_cost c =
   c.read_cost + c.write_cost + c.plain_write_cost + c.cas_cost + c.faa_cost
   + c.swap_cost + c.alloc_cost
 
-type 'a t = { id : int; mutable v : 'a }
+type 'a t = { id : int; mutable v : 'a; dom : Scheduler.domain }
 
 (* Cell ids feed the explorer's independence relation (two operations
    commute iff they touch different cells or are both reads). Creation
@@ -194,39 +125,41 @@ type 'a t = { id : int; mutable v : 'a }
    counter is domain-local, so ids are stable across replays of the same
    schedule prefix whichever worker domain runs them; [reset_ids] lets a
    stateless explorer restart numbering for every re-execution. *)
-let reset_ids () = (dstate ()).id_counter <- 0
+let reset_ids () = (Scheduler.domain ()).next_id <- 0
 
 let make v =
-  let d = dstate () in
-  let id = d.id_counter + 1 in
-  d.id_counter <- id;
-  { id; v }
+  let d = Scheduler.domain () in
+  let id = d.next_id + 1 in
+  d.next_id <- id;
+  { id; v; dom = d }
 
 (* One charge: yield at the cell with the class's price, then bump the
-   class counters. The [k] arguments below are literal constants, so
-   every array access is a bounds-check-free constant-offset load. *)
-let[@inline] charge k cell write =
-  let d = dstate () in
+   class counters, all through the context the cell carries. The [k]
+   arguments below are literal constants, so every array access is a
+   bounds-check-free constant-offset load. *)
+let[@inline] charge_in (d : Scheduler.domain) k cell write =
   let cost = Array.unsafe_get d.price k in
-  Scheduler.step_at ~cell ~write cost;
+  Scheduler.step_at d ~cell ~write cost;
   Array.unsafe_set d.op_n k (Array.unsafe_get d.op_n k + 1);
   Array.unsafe_set d.op_c k (Array.unsafe_get d.op_c k + cost)
 
+let[@inline] charge k c write = charge_in c.dom k c.id write
+
 let get c =
-  charge k_read c.id false;
+  charge k_read c false;
   c.v
 
 let set c v =
-  charge k_write c.id true;
+  charge k_write c true;
   c.v <- v
 
 (* Pre-publication store: no ordering needed, plain-store price. *)
 let set_plain c v =
-  charge k_plain c.id true;
+  charge k_plain c true;
   c.v <- v
 
 let exchange c v =
-  charge k_swap c.id true;
+  charge k_swap c true;
   let old = c.v in
   c.v <- v;
   old
@@ -234,9 +167,9 @@ let exchange c v =
 (* Success is decided by the value visible *after* the yield — the CAS
    takes effect at the resume point, like every other operation here. *)
 let compare_and_set c expected desired =
-  let d = dstate () in
+  let d = c.dom in
   let cost = Array.unsafe_get d.price k_cas_ok in
-  Scheduler.step_at ~cell:c.id ~write:true cost;
+  Scheduler.step_at d ~cell:c.id ~write:true cost;
   if c.v == expected then begin
     Array.unsafe_set d.op_n k_cas_ok (Array.unsafe_get d.op_n k_cas_ok + 1);
     Array.unsafe_set d.op_c k_cas_ok (Array.unsafe_get d.op_c k_cas_ok + cost);
@@ -252,7 +185,7 @@ let compare_and_set c expected desired =
   end
 
 let fetch_and_add c d =
-  charge k_faa c.id true;
+  charge k_faa c true;
   let old = c.v in
   c.v <- old + d;
   old
@@ -265,4 +198,4 @@ let decr c = ignore (fetch_and_add c (-1))
    explorer's independence relation (its lock already serialises it), yet
    the scheduler may preempt here, which is what makes free-then-reuse
    races reachable. *)
-let charge_alloc ~bytes:_ = charge k_alloc (-1) false
+let charge_alloc ~bytes:_ = charge_in (Scheduler.domain ()) k_alloc (-1) false

@@ -209,10 +209,35 @@ let cache_snapshot dir =
            In_channel.with_open_bin (Filename.concat dir name)
              In_channel.input_all ))
 
+(* The fingerprints cover every result field; the per-row checks name
+   the two a cell charges through its domain context: a cell's structure
+   is built and simulated on the worker domain that claims it, and its
+   op-class counts and clock must be those of the sequential run. *)
 let test_parallel_rows_identical () =
   let plan = mixed_plan () in
   let seq = Executor.run plan in
   let par = Executor.run ~domains:8 plan in
+  List.iter2
+    (fun (s : Executor.row) (p : Executor.row) ->
+      match (s.Executor.outcome, p.Executor.outcome) with
+      | Executor.Done a, Executor.Done b ->
+          let label = s.Executor.cell.Plan.label in
+          let charged (r : Smr_harness.Workload.result) =
+            let c = r.Smr_harness.Workload.op_costs in
+            Test_support.classes c @ [ Cell.total_cost c ]
+          in
+          Alcotest.(check bool)
+            (label ^ ": charged some operations") true
+            (Cell.total_cost a.Smr_harness.Workload.op_costs > 0);
+          Alcotest.(check (list int))
+            (label ^ ": worker-domain op counts and cost")
+            (charged a) (charged b);
+          Alcotest.(check int)
+            (label ^ ": worker-domain clock")
+            a.Smr_harness.Workload.steps b.Smr_harness.Workload.steps
+      | Executor.Failed _, Executor.Failed _ -> ()
+      | _ -> Alcotest.fail "a cell's outcome differs at 8 domains")
+    seq.Executor.rows par.Executor.rows;
   Alcotest.(check string)
     "rows byte-identical at 8 domains" (summary_fingerprint seq)
     (summary_fingerprint par);

@@ -229,6 +229,23 @@ let test_golden_trace_stable () =
     "same-seed reruns are byte-identical" (Buffer.contents buf1)
     (Buffer.contents buf2)
 
+(* The step hot path allocates nothing: a charged read reaches the
+   scheduler through the cell's domain context, records its footprint in
+   thread fields and draws the RNG, and with one fiber the draw always
+   picks the caller, so no effect is performed either. *)
+let test_step_allocates_nothing () =
+  let c = Cell.make 1 in
+  let words = ref nan in
+  ignore
+    (Test_support.run_threads ~threads:1 (fun _ ->
+         let before = Gc.minor_words () in
+         for _ = 1 to 100_000 do
+           ignore (Sys.opaque_identity (Cell.get c))
+         done;
+         words := Gc.minor_words () -. before));
+  Alcotest.(check (float 0.))
+    "minor words for 100,000 charged reads" 0. !words
+
 let suite =
   [
     Alcotest.test_case "runs-to-completion" `Quick test_runs_to_completion;
@@ -242,4 +259,6 @@ let suite =
     Alcotest.test_case "outside-scheduler" `Quick test_outside_scheduler_noops;
     Alcotest.test_case "golden-trace" `Quick test_golden_trace;
     Alcotest.test_case "golden-trace-stable" `Quick test_golden_trace_stable;
+    Alcotest.test_case "step-allocates-nothing" `Quick
+      test_step_allocates_nothing;
   ]

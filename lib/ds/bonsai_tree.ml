@@ -24,16 +24,26 @@ module Make (S : Smr.Smr_intf.SMR) = struct
   }
 
   type t = { smr : pl S.t; root : pl S.node option A.t }
+
+  (* A walk's [protect] read thunk over plain nodes, not cells: [deref]
+     repoints it at each level, so a level allocates nothing. *)
+  module Holder = Ds_intf.Reader (struct
+    type 'a t = 'a
+
+    let get v = v
+  end)
+
   type guard = pl S.guard
 
   let create ?buckets:_ cfg = { smr = S.create cfg; root = A.make None }
   let size = function None -> 0 | Some n -> (S.data n).size
 
   (* Era-touching dereference: the child links are immutable, so the read
-     closure returns the cached node; era-based schemes still advance their
+     thunk returns the cached node; era-based schemes still advance their
      reservation, which is all the protection a snapshot traversal needs. *)
-  let deref t g node =
-    ignore (S.protect t.smr g ~idx:0 ~read:(fun () -> node) ~target:Fun.id);
+  let deref t g h node =
+    h.Holder.src <- node;
+    ignore (S.protect t.smr g ~idx:0 ~read:h.Holder.read ~target:Fun.id);
     S.data node
 
   let mk t key l r =
@@ -48,10 +58,10 @@ module Make (S : Smr.Smr_intf.SMR) = struct
   let delta = 4
   let ratio = 2
 
-  let balance t g retired key l r =
+  let balance t g h retired key l r =
     let deconstruct n =
       retired := n :: !retired;
-      deref t g n
+      deref t g h n
     in
     let ln = size l and rn = size r in
     if ln + rn <= 1 then mk t key l r
@@ -91,75 +101,76 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     else mk t key l r
 
   (* Pure insertion into the snapshot; returns None if the key is present. *)
-  let insert_path t g retired key root =
+  let insert_path t g h retired key root =
     let rec go node =
       match node with
       | None -> Some (mk t key None None)
       | Some n ->
-          let v = deref t g n in
+          let v = deref t g h n in
           if key = v.key then None
           else begin
             retired := n :: !retired;
             if key < v.key then
               Option.map
-                (fun l -> balance t g retired v.key (Some l) v.right)
+                (fun l -> balance t g h retired v.key (Some l) v.right)
                 (go v.left)
             else
               Option.map
-                (fun r -> balance t g retired v.key v.left (Some r))
+                (fun r -> balance t g h retired v.key v.left (Some r))
                 (go v.right)
           end
     in
     go root
 
   (* Remove the minimum of a non-empty subtree; returns (min_payload, rest). *)
-  let rec take_min t g retired n =
-    let v = deref t g n in
+  let rec take_min t g h retired n =
+    let v = deref t g h n in
     retired := n :: !retired;
     match v.left with
     | None -> (v, v.right)
     | Some l ->
-        let m, rest = take_min t g retired l in
-        (m, Some (balance t g retired v.key rest v.right))
+        let m, rest = take_min t g h retired l in
+        (m, Some (balance t g h retired v.key rest v.right))
 
   (* Returns [Some new_subtree] when the key was removed, [None] if it was
      absent (path nodes are only marked for retirement on success). *)
-  let remove_path t g retired key root =
+  let remove_path t g h retired key root =
     let rec go node =
       match node with
       | None -> None
       | Some n -> (
-          let v = deref t g n in
+          let v = deref t g h n in
           if key = v.key then begin
             retired := n :: !retired;
             match (v.left, v.right) with
             | None, r -> Some r
             | l, None -> Some l
             | l, Some r ->
-                let m, rest = take_min t g retired r in
-                Some (Some (balance t g retired m.key l rest))
+                let m, rest = take_min t g h retired r in
+                Some (Some (balance t g h retired m.key l rest))
           end
           else if key < v.key then
             match go v.left with
             | None -> None
             | Some l' ->
                 retired := n :: !retired;
-                Some (Some (balance t g retired v.key l' v.right))
+                Some (Some (balance t g h retired v.key l' v.right))
           else
             match go v.right with
             | None -> None
             | Some r' ->
                 retired := n :: !retired;
-                Some (Some (balance t g retired v.key v.left r')))
+                Some (Some (balance t g h retired v.key v.left r')))
     in
     go root
 
   let contains_with t g key =
+    let h = Holder.make (Smr.Smr_intf.nil ()) in
     let rec go node =
       match node with
       | None -> false
       | Some n ->
-          let v = deref t g n in
+          let v = deref t g h n in
           if key = v.key then true
           else if key < v.key then go v.left
           else go v.right
@@ -170,6 +181,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
          ~target:Smr.Smr_intf.of_option)
 
   let update_root t g compute =
+    let h = Holder.make (Smr.Smr_intf.nil ()) in
     let rec attempt () =
       let snapshot =
         S.protect t.smr g ~idx:0
@@ -177,7 +189,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
           ~target:Smr.Smr_intf.of_option
       in
       let retired = ref [] in
-      match compute retired snapshot with
+      match compute h retired snapshot with
       | None -> false (* no-op: key present (insert) or absent (remove) *)
       | Some fresh ->
           if A.compare_and_set t.root snapshot fresh then begin
@@ -190,11 +202,11 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     attempt ()
 
   let insert_with t g key =
-    update_root t g (fun retired snap ->
-        Option.map (fun n -> Some n) (insert_path t g retired key snap))
+    update_root t g (fun h retired snap ->
+        Option.map (fun n -> Some n) (insert_path t g h retired key snap))
 
   let remove_with t g key =
-    update_root t g (fun retired snap -> remove_path t g retired key snap)
+    update_root t g (fun h retired snap -> remove_path t g h retired key snap)
 
   include Ds_intf.Bracket (struct
     module S = S

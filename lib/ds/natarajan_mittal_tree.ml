@@ -20,6 +20,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
 
   module S = S
   module A = S.R.Atomic
+  module Reader = Ds_intf.Reader (A)
 
   (* Sentinel keys: all real keys are < inf1 < inf2. *)
   let inf1 = max_int - 1
@@ -73,12 +74,14 @@ module Make (S : Smr.Smr_intf.SMR) = struct
 
   let child i key = if key < i.ikey then i.left else i.right
 
-  let read_edge t g ~idx field =
-    S.protect t.smr g ~idx
-      ~read:(fun () -> A.get field)
-      ~target:(fun e -> e.tgt)
+  (* Protect the edge in [field] through the walk's reader: repointing
+     it allocates nothing per hop. *)
+  let read_edge t g r ~idx field =
+    r.Reader.src <- field;
+    S.protect t.smr g ~idx ~read:r.Reader.read ~target:(fun e -> e.tgt)
 
   let seek t g key =
+    let r = Reader.make t.root.left in
     let rec descend ~ancestor ~anc_field ~successor ~parent ~par ~par_field
         ~leaf_edge =
       let leaf = leaf_edge.tgt in
@@ -105,13 +108,13 @@ module Make (S : Smr.Smr_intf.SMR) = struct
           in
           S.transfer t.smr g ~idx:2 leaf;
           let next_field = child i key in
-          let next_edge = read_edge t g ~idx:3 next_field in
+          let next_edge = read_edge t g r ~idx:3 next_field in
           descend ~ancestor ~anc_field ~successor ~parent:leaf ~par:i
             ~par_field:next_field ~leaf_edge:next_edge
     in
     (* The root node R is embedded in [t] and never retired; its S child is
        read under slot 1 and doubles as the initial successor/parent. *)
-    let s_edge = read_edge t g ~idx:1 t.root.left in
+    let s_edge = read_edge t g r ~idx:1 t.root.left in
     let s_node = s_edge.tgt in
     S.transfer t.smr g ~idx:2 s_node;
     let s_internal =
@@ -120,7 +123,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       | Leaf _ -> invalid_arg "nm-tree: S node must be internal"
     in
     let first_field = child s_internal key in
-    let first_edge = read_edge t g ~idx:3 first_field in
+    let first_edge = read_edge t g r ~idx:3 first_field in
     descend ~ancestor:t.root ~anc_field:t.root.left ~successor:s_node
       ~parent:s_node ~par:s_internal ~par_field:first_field
       ~leaf_edge:first_edge

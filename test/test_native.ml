@@ -163,12 +163,15 @@ let test_transfer_allocates_nothing () =
 
 (* A traversal allocates nothing per node it visits: a [contains] of the
    last key costs the same minor words over 16 nodes as over 256, on the
-   list and on the skip list. What remains is per operation (the guard,
-   the walk's reader and its result record), so a closure or a box built
-   per hop shows as a gap of several words per node. The list's
-   per-operation words are bounded too: the list is the native-list
-   workload's structure, which allocated about 700 words per operation
-   when every hop built a closure. *)
+   list, the skip list, the NM tree (keys inserted in order make it a
+   chain, so the walk visits every node) and Bonsai (balanced, so the
+   walk grows by about four levels). What remains is per operation (the
+   guard, the walk's reader and its result record), so a closure or a
+   box built per hop shows as a gap of several words per node. The
+   list's per-operation words are bounded too: the list is the
+   native-list workload's structure, which allocated about 700 words per
+   operation when every hop built a closure. Bonsai skips HP and HE,
+   which it does not support. *)
 let test_traversal_allocation () =
   let per_contains (module L : Smr_ds.Ds_intf.CONC_SET) n =
     Native.set_self 0;
@@ -196,13 +199,20 @@ let test_traversal_allocation () =
                name ds small large bound)
             true
             (Float.abs (large -. small) <= 0.5 && large <= bound))
-        [
-          ( "list",
-            50.,
-            (module Smr_ds.Harris_michael_list.Make (S)
-            : Smr_ds.Ds_intf.CONC_SET) );
-          ("skiplist", Float.infinity, (module Smr_ds.Skiplist.Make (S)));
-        ])
+        ([
+           ( "list",
+             50.,
+             (module Smr_ds.Harris_michael_list.Make (S)
+             : Smr_ds.Ds_intf.CONC_SET) );
+           ("skiplist", Float.infinity, (module Smr_ds.Skiplist.Make (S)));
+           ( "nm-tree",
+             Float.infinity,
+             (module Smr_ds.Natarajan_mittal_tree.Make (S)) );
+         ]
+        @
+        if name = "hp" || name = "he" then []
+        else [ ("bonsai", Float.infinity, (module Smr_ds.Bonsai_tree.Make (S))) ]
+        ))
     native_schemes
 
 (* An empty bracket allocates only its guard and the head records its

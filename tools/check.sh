@@ -44,18 +44,24 @@ else
   echo "==> skipping @fmt (ocamlformat not installed)"
 fi
 
-# Parallel-sweep determinism smoke: the micro grid fanned out across 2
-# worker domains must write a byte-identical artifact AND byte-identical
-# cache files — ~domains is an implementation detail, not an input.
-echo "==> 2-domain sweep determinism smoke run"
-dune exec bin/figures.exe -- micro \
-  -o "$tmpdir/seq" --cache-dir "$tmpdir/seqcache" >/dev/null
-dune exec bin/figures.exe -- micro --domains 2 \
-  -o "$tmpdir/par" --cache-dir "$tmpdir/parcache" >/dev/null
-cmp "$tmpdir/seq/BENCH_micro.json" "$tmpdir/par/BENCH_micro.json" || {
-  echo "domain smoke: parallel artifact differs from sequential"; exit 1; }
-diff -r "$tmpdir/seqcache" "$tmpdir/parcache" >/dev/null || {
-  echo "domain smoke: parallel cache files differ from sequential"; exit 1; }
+# Parallel-sweep determinism smoke: the micro grid and the open-loop
+# service scenario (timers, sleepers, churn, the background reclaimer),
+# fanned out across 2 worker domains, must write a byte-identical
+# artifact AND byte-identical cache files — ~domains is an
+# implementation detail, not an input. A simulated cell is charged on
+# the domain that built it, so this is also where a structure built on
+# one domain and run on another would show.
+for kind in micro service; do
+  echo "==> 2-domain $kind determinism smoke run"
+  dune exec bin/figures.exe -- "$kind" \
+    -o "$tmpdir/$kind.seq" --cache-dir "$tmpdir/$kind.seqcache" >/dev/null
+  dune exec bin/figures.exe -- "$kind" --domains 2 \
+    -o "$tmpdir/$kind.par" --cache-dir "$tmpdir/$kind.parcache" >/dev/null
+  cmp "$tmpdir/$kind.seq/BENCH_$kind.json" "$tmpdir/$kind.par/BENCH_$kind.json" || {
+    echo "domain smoke: parallel $kind artifact differs from sequential"; exit 1; }
+  diff -r "$tmpdir/$kind.seqcache" "$tmpdir/$kind.parcache" >/dev/null || {
+    echo "domain smoke: parallel $kind cache files differ from sequential"; exit 1; }
+done
 
 # Verdict scenarios: micro (every bench scheme has a run, each with a
 # scheme-specific series), footprint (stalled Epoch's resident bytes at least

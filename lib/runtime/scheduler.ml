@@ -14,8 +14,8 @@ type access = { cell : int; write : bool }
 type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Stall : unit Effect.t
 
-(* Thread status as an int, not a variant: the run loop compares and
-   assigns statuses on every step, and int codes keep that branch-free of
+(* Thread status as an int, not a variant: the scheduler compares and
+   assigns statuses on every switch, and int codes keep that branch-free of
    pointer chasing and safe from polymorphic compare. The continuation
    and start function live in separate mutable fields, valid only in the
    statuses indicated. *)
@@ -31,7 +31,7 @@ type thread = {
          Ev_join/Ev_leave instead of Ev_spawn/Ev_finish *)
   mutable st : int;
   mutable fn : unit -> unit;  (* entry point; [dummy_fn] once started *)
-  mutable cont : (unit, unit) Effect.Deep.continuation;
+  mutable cont : (unit, int) Effect.Deep.continuation;
       (* continuation at the last yield; only read when [st] says so.
          Initialised to an immediate dummy (never continued). *)
   mutable run_pos : int;  (* index in [runnable], or -1 *)
@@ -78,9 +78,10 @@ type t = {
   mutable pending : int;
       (* runnable slot already picked in-fiber by the fast path, or -1.
          An int, not a thread pointer, so setting it skips the write
-         barrier. When >= 0 the run loop resumes that slot directly: the
-         picked thread is runnable by construction and the deadline was
-         already checked at the pick. *)
+         barrier. When >= 0 the yield handler consumes it and hands off
+         to that slot without a decision: the picked thread is runnable
+         by construction and the deadline was already checked at the
+         pick. *)
   mutable hooked : bool;
       (* [pick_fn <> None || on_decision <> None], cached so the step
          fast path tests one flag *)
@@ -88,13 +89,13 @@ type t = {
       (* when set, [pick_fn width] chooses the runnable index instead of
          the RNG — the hook the exhaustive explorer drives *)
   mutable on_decision : (unit -> unit) option;
-      (* fired at the top of every run-loop iteration, before the
+      (* fired at the top of every scheduling decision, before the
          runnable set is inspected — the fault-injection hook: it may
          suspend, resume or kill threads and the decision that follows
          sees the updated runnable set *)
   mutable spawn_queue : (int * (unit -> unit)) list;
       (* deferred joins from [spawn_at], sorted by activation time
-         (stable for equal times); activated by the run loop *)
+         (stable for equal times); activated by the next decision *)
   mutable next_spawn : int;
       (* activation time of the queue head, [max_int] when empty — folded
          into the step fast path's deadline test so churn-free runs pay
@@ -119,7 +120,7 @@ type t = {
          its single timer compare. Timer-free runs hold [max_int] here
          and draw the RNG exactly as before. *)
   mutable tracer : (event -> unit) option;
-  mutable handler : (unit, unit) Effect.Deep.handler;
+  mutable handler : (unit, int) Effect.Deep.handler;
       (* the one deep handler shared by every fiber of this scheduler,
          built once at [create] — resuming a thread allocates nothing *)
 }
@@ -129,7 +130,7 @@ let dummy_fn () = ()
 (* An immediate stored where a continuation is expected but never read:
    every read of [cont] is guarded by [st], and the GC is indifferent to
    immediates, so this avoids an option box around every continuation. *)
-let dummy_cont : (unit, unit) Effect.Deep.continuation = Obj.magic 0
+let dummy_cont : (unit, int) Effect.Deep.continuation = Obj.magic 0
 
 let dummy_thread =
   {
@@ -165,123 +166,6 @@ let drop_runnable t th =
   t.runnable.(last) <- dummy_thread;
   t.runnable_count <- last;
   th.run_pos <- -1
-
-(* The deep handler is built once per scheduler and reused for every
-   fiber: [effc] returns preallocated [Some] closures, so handling a
-   yield allocates nothing. The closures identify the yielding thread via
-   [t.current], which the run loop maintains. *)
-let make_handler (t : t) : (unit, unit) Effect.Deep.handler =
-  let retc () =
-    let th = t.cur_th in
-    th.st <- st_finished;
-    th.fn <- dummy_fn;
-    th.next_cell <- -1;
-    t.live <- t.live - 1;
-    if th.run_pos >= 0 then drop_runnable t th;
-    match t.tracer with
-    | None -> ()
-    | Some f ->
-        if th.churn then f (Ev_leave { tid = th.tid; at = t.clock })
-        else f (Ev_finish { tid = th.tid; at = t.clock })
-  in
-  let on_yield (k : (unit, unit) Effect.Deep.continuation) =
-    let th = t.cur_th in
-    th.st <- st_paused;
-    th.cont <- k
-  in
-  let on_stall (k : (unit, unit) Effect.Deep.continuation) =
-    let th = t.cur_th in
-    th.st <- st_stalled;
-    th.cont <- k;
-    drop_runnable t th;
-    match t.tracer with
-    | None -> ()
-    | Some f -> f (Ev_stall { tid = th.tid; at = t.clock })
-  in
-  let some_yield = Some on_yield in
-  let some_stall = Some on_stall in
-  let effc : type a.
-      a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
-    function
-    | Yield -> some_yield
-    | Stall -> some_stall
-    | _ -> None
-  in
-  { Effect.Deep.retc; exnc = raise; effc }
-
-let dummy_handler : (unit, unit) Effect.Deep.handler =
-  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
-
-let create ?(seed = 42) () =
-  let t =
-    {
-      rng = Random.State.make [| seed |];
-      threads = [||];
-      count = 0;
-      live = 0;
-      runnable = [||];
-      runnable_count = 0;
-      clock = 0;
-      current = -1;
-      cur_th = dummy_thread;
-      deadline = max_int;
-      pending = -1;
-      hooked = false;
-      pick_fn = None;
-      on_decision = None;
-      spawn_queue = [];
-      next_spawn = max_int;
-      sleep_at = [||];
-      sleep_tid = [||];
-      sleep_seqs = [||];
-      sleep_len = 0;
-      sleep_seq = 0;
-      next_wake = max_int;
-      next_timed = max_int;
-      tracer = None;
-      handler = dummy_handler;
-    }
-  in
-  t.handler <- make_handler t;
-  t
-
-(* -- the domain context ----------------------------------------------------
-
-   Everything the simulator keeps per domain, behind one DLS key: the
-   scheduler running on this domain and the cell accounting {!Sim_cell}
-   charges into. Each parallel sweep worker runs its own deterministic
-   scheduler and prices, counts and numbers its own cells without
-   observing the others, and schedulers never migrate between domains,
-   so a cell simulated on worker domain k is bit-identical to the same
-   cell simulated on the main domain. A cell keeps a pointer to the
-   context of the domain that built it, so its operations reach the
-   running scheduler and the counters without a lookup. *)
-type domain = {
-  mutable active : t;  (* the scheduler running here, or [idle] *)
-  price : int array;
-  op_n : int array;
-  op_c : int array;
-  mutable next_id : int;
-}
-
-(* Stands in for "no scheduler": it never runs, so its [current] stays
-   -1 and every step through it is a no-op. Shared by all domains, which
-   only ever read it. *)
-let idle = create ()
-
-let domain_key : domain Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let price = Array.make Sim_costs.n_classes 0 in
-      Sim_costs.set_prices price Sim_costs.default_costs;
-      {
-        active = idle;
-        price;
-        op_n = Array.make Sim_costs.n_classes 0;
-        op_c = Array.make Sim_costs.n_classes 0;
-        next_id = 0;
-      })
-
-let[@inline] domain () = Domain.DLS.get domain_key
 
 let emit t ev = match t.tracer with None -> () | Some f -> f ev
 
@@ -433,6 +317,215 @@ let sleep_pop t =
   t.next_wake <- (if last > 0 then t.sleep_at.(0) else max_int);
   tid
 
+let unstall t tid =
+  if tid < 0 || tid >= t.count then invalid_arg "Scheduler.unstall: bad tid";
+  let th = t.threads.(tid) in
+  if th.st = st_stalled then begin
+    th.st <- st_paused;
+    if not th.suspended then push_runnable t th;
+    emit t (Ev_unstall { tid; at = t.clock })
+  end
+
+(* Wake every sleeper whose time has come. A queue entry whose thread was
+   meanwhile killed, finished, or externally unstalled is simply dropped
+   ([unstall] only acts on stalled threads). *)
+let wake_due t =
+  while t.sleep_len > 0 && t.sleep_at.(0) <= t.clock do
+    unstall t (sleep_pop t)
+  done;
+  refresh_timed t
+
+(* -- the decision ----------------------------------------------------------
+
+   A decision is the runnable slot to run next (>= 0) or a terminal
+   outcome, coded negative so that the handler can hand it back to [run]
+   as a plain int. *)
+let code_all_finished = -1
+let code_budget_exhausted = -2
+let code_only_stalled = -3
+
+(* The one decision body, taken by [run] once and by the handler after
+   every yield, stall or finish the in-fiber pick did not settle, with
+   [current = -1]: the fault hook, due joins and wake-ups, the deadline,
+   the idle fast-forward, then the pick. *)
+let rec decide t =
+  (match t.on_decision with None -> () | Some f -> f ());
+  if t.next_spawn <= t.clock then activate_due t;
+  if t.next_wake <= t.clock then wake_due t;
+  if t.live = 0 && t.next_spawn = max_int then code_all_finished
+  else if t.clock >= t.deadline then code_budget_exhausted
+  else if t.runnable_count = 0 then
+    if t.next_timed < t.deadline then begin
+      (* Everything present is stalled (or finished) but a join or a
+         wake-up is scheduled: fast-forward the idle time to the next
+         timer. [wake_due] always consumes the due queue entries, so this
+         makes progress even on stale entries. *)
+      t.clock <- t.next_timed;
+      if t.next_spawn <= t.clock then activate_due t;
+      if t.next_wake <= t.clock then wake_due t;
+      decide t
+    end
+    else if t.live = 0 then code_budget_exhausted
+    else code_only_stalled
+  else
+    match t.pick_fn with
+    | Some f ->
+        let i = f t.runnable_count in
+        if i < 0 || i >= t.runnable_count then
+          invalid_arg "Scheduler: pick_fn out of range"
+        else i
+    | None -> Random.State.int t.rng t.runnable_count
+
+(* Act on a decision inside the handler. A paused slot is resumed by a
+   [continue] in tail position: the handler's frame is gone before the
+   next fiber runs, so a switch is one stack switch and the stack stays
+   flat however many a run makes. A slot not yet started and an outcome
+   go back to [run], which starts threads from its own frame. *)
+let handoff t i =
+  if i < 0 then i
+  else
+    let th = Array.unsafe_get t.runnable i in
+    if th.st = st_not_started then i
+    else begin
+      t.current <- th.tid;
+      t.cur_th <- th;
+      Effect.Deep.continue th.cont ()
+    end
+
+(* The deep handler is built once per scheduler and reused for every
+   fiber: [effc] returns preallocated [Some] closures, so handling a
+   yield allocates nothing. Each case books the thread that [cur_th]
+   names, then hands off to the next one. *)
+let make_handler (t : t) : (unit, int) Effect.Deep.handler =
+  let next () =
+    (* [cur_th] is left stale: every read is guarded by [current >= 0],
+       and skipping the reset saves a write barrier per switch. *)
+    t.current <- -1;
+    handoff t (decide t)
+  in
+  let retc () =
+    let th = t.cur_th in
+    th.st <- st_finished;
+    th.fn <- dummy_fn;
+    th.next_cell <- -1;
+    t.live <- t.live - 1;
+    if th.run_pos >= 0 then drop_runnable t th;
+    (match t.tracer with
+    | None -> ()
+    | Some f ->
+        if th.churn then f (Ev_leave { tid = th.tid; at = t.clock })
+        else f (Ev_finish { tid = th.tid; at = t.clock }));
+    next ()
+  in
+  let on_yield (k : (unit, int) Effect.Deep.continuation) =
+    let th = t.cur_th in
+    th.st <- st_paused;
+    th.cont <- k;
+    let i = t.pending in
+    if i >= 0 then begin
+      (* The yielding fiber already drew the RNG, checked the deadline
+         and picked this slot; nothing has touched the runnable set
+         since. *)
+      t.pending <- -1;
+      handoff t i
+    end
+    else next ()
+  in
+  let on_stall (k : (unit, int) Effect.Deep.continuation) =
+    let th = t.cur_th in
+    th.st <- st_stalled;
+    th.cont <- k;
+    drop_runnable t th;
+    (match t.tracer with
+    | None -> ()
+    | Some f -> f (Ev_stall { tid = th.tid; at = t.clock }));
+    next ()
+  in
+  let some_yield = Some on_yield in
+  let some_stall = Some on_stall in
+  let effc : type a.
+      a Effect.t -> ((a, int) Effect.Deep.continuation -> int) option =
+    function
+    | Yield -> some_yield
+    | Stall -> some_stall
+    | _ -> None
+  in
+  { Effect.Deep.retc; exnc = raise; effc }
+
+let dummy_handler : (unit, int) Effect.Deep.handler =
+  { retc = (fun () -> code_all_finished); exnc = raise; effc = (fun _ -> None) }
+
+let create ?(seed = 42) () =
+  let t =
+    {
+      rng = Random.State.make [| seed |];
+      threads = [||];
+      count = 0;
+      live = 0;
+      runnable = [||];
+      runnable_count = 0;
+      clock = 0;
+      current = -1;
+      cur_th = dummy_thread;
+      deadline = max_int;
+      pending = -1;
+      hooked = false;
+      pick_fn = None;
+      on_decision = None;
+      spawn_queue = [];
+      next_spawn = max_int;
+      sleep_at = [||];
+      sleep_tid = [||];
+      sleep_seqs = [||];
+      sleep_len = 0;
+      sleep_seq = 0;
+      next_wake = max_int;
+      next_timed = max_int;
+      tracer = None;
+      handler = dummy_handler;
+    }
+  in
+  t.handler <- make_handler t;
+  t
+
+(* -- the domain context ----------------------------------------------------
+
+   Everything the simulator keeps per domain, behind one DLS key: the
+   scheduler running on this domain and the cell accounting {!Sim_cell}
+   charges into. Each parallel sweep worker runs its own deterministic
+   scheduler and prices, counts and numbers its own cells without
+   observing the others, and schedulers never migrate between domains,
+   so a cell simulated on worker domain k is bit-identical to the same
+   cell simulated on the main domain. A cell keeps a pointer to the
+   context of the domain that built it, so its operations reach the
+   running scheduler and the counters without a lookup. *)
+type domain = {
+  mutable active : t;  (* the scheduler running here, or [idle] *)
+  price : int array;
+  op_n : int array;
+  op_c : int array;
+  mutable next_id : int;
+}
+
+(* Stands in for "no scheduler": it never runs, so its [current] stays
+   -1 and every step through it is a no-op. Shared by all domains, which
+   only ever read it. *)
+let idle = create ()
+
+let domain_key : domain Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let price = Array.make Sim_costs.n_classes 0 in
+      Sim_costs.set_prices price Sim_costs.default_costs;
+      {
+        active = idle;
+        price;
+        op_n = Array.make Sim_costs.n_classes 0;
+        op_c = Array.make Sim_costs.n_classes 0;
+        next_id = 0;
+      })
+
+let[@inline] domain () = Domain.DLS.get domain_key
+
 let self () =
   let t = (domain ()).active in
   if t.current >= 0 then t.current
@@ -443,7 +536,7 @@ let inside () = (domain ()).active.current >= 0
 (* The step hot path, called once per simulated shared-memory operation.
    Charges the clock, records the footprint and decides the next
    scheduling choice *in-fiber*: when neither the explorer's picker nor
-   the fault hook is installed, the run loop's checks are statically known
+   the fault hook is installed, the decision's checks are statically known
    to pass (the caller is live and runnable), so the only reasons to
    actually suspend are an exhausted budget or the RNG picking a
    different thread. Picking the caller itself — the common case at low
@@ -462,11 +555,11 @@ let[@inline] step_on t cost cell write =
   if t.hooked then Effect.perform Yield
   else if t.clock >= t.deadline then Effect.perform Yield
   else if t.clock >= t.next_timed then
-    (* A queued join or a sleeping thread is due: return to the run loop
-       without drawing the RNG — the loop activates/wakes it and the next
-       pick sees the updated runnable set. [next_timed] is [max_int] when
-       neither churn nor timed sleeps are configured, so timer-free
-       schedules are bit-identical. *)
+    (* A queued join or a sleeping thread is due: yield without drawing
+       the RNG — the decision activates/wakes it and its pick sees the
+       updated runnable set. [next_timed] is [max_int] when neither churn
+       nor timed sleeps are configured, so timer-free schedules are
+       bit-identical. *)
     Effect.perform Yield
   else begin
     let i = Random.State.int t.rng t.runnable_count in
@@ -492,17 +585,8 @@ let stall () =
   if inside () then Effect.perform Stall
   else invalid_arg "Scheduler.stall: no thread is running"
 
-let unstall t tid =
-  if tid < 0 || tid >= t.count then invalid_arg "Scheduler.unstall: bad tid";
-  let th = t.threads.(tid) in
-  if th.st = st_stalled then begin
-    th.st <- st_paused;
-    if not th.suspended then push_runnable t th;
-    emit t (Ev_unstall { tid; at = t.clock })
-  end
-
 (* Park the calling thread until the clock reaches [at], without charging
-   any cost: the thread stalls and the run loop wakes it (an internal
+   any cost: the thread stalls and a later decision wakes it (an internal
    [unstall]) once the clock gets there — fast-forwarding idle time when
    nothing else is runnable. This is what open-loop traffic drivers and
    periodic service threads wait on. A no-op when [at] is already due, so
@@ -516,15 +600,6 @@ let sleep_until at =
     refresh_timed t;
     Effect.perform Stall
   end
-
-(* Wake every sleeper whose time has come. A queue entry whose thread was
-   meanwhile killed, finished, or externally unstalled is simply dropped
-   ([unstall] only acts on stalled threads). *)
-let wake_due t =
-  while t.sleep_len > 0 && t.sleep_at.(0) <= t.clock do
-    unstall t (sleep_pop t)
-  done;
-  refresh_timed t
 
 let check_tid t tid ~what =
   if tid < 0 || tid >= t.count then
@@ -601,75 +676,33 @@ let state t tid =
   else if th.st = st_stalled then Stalled
   else Runnable
 
-(* Run one thread until its next yield point, completion, or stall. The
-   shared deep handler stays installed for the whole fiber, so resuming a
-   paused continuation re-enters it on the next effect. Completion is
-   detected by the handler's [retc], not here. *)
-let[@inline] dispatch t th =
-  t.current <- th.tid;
-  t.cur_th <- th;
-  if th.st = st_not_started then begin
-    let f = th.fn in
-    th.fn <- dummy_fn;
-    Effect.Deep.match_with f () t.handler
-  end
-  else Effect.Deep.continue th.cont ();
-  (* [cur_th] is left stale: every read is guarded by [current >= 0],
-     and skipping the reset saves a write barrier per dispatch. *)
-  t.current <- -1
-
+(* [run] takes the first decision and acts on it; every later switch
+   is a [handoff] inside the handler. What comes back here is a thread
+   not yet started, which [run] starts with [match_with] from its own
+   frame, so every fiber's handler runs at this one depth, or the
+   outcome. *)
 let run ?(budget = max_int) t =
   let d = domain () in
   let previous = d.active in
   d.active <- t;
   t.deadline <- (if budget = max_int then max_int else t.clock + budget);
   t.pending <- -1;
-  let rec loop () =
-    let pending = t.pending in
-    if pending >= 0 then begin
-      (* Fast-path handoff: the yielding fiber already drew the RNG,
-         checked the deadline and picked this slot; nothing has touched
-         the runnable set since. *)
-      t.pending <- -1;
-      dispatch t (Array.unsafe_get t.runnable pending);
-      loop ()
+  let rec loop i =
+    if i >= 0 then begin
+      let th = Array.unsafe_get t.runnable i in
+      t.current <- th.tid;
+      t.cur_th <- th;
+      let f = th.fn in
+      th.fn <- dummy_fn;
+      loop (Effect.Deep.match_with f () t.handler)
     end
-    else begin
-      (match t.on_decision with None -> () | Some f -> f ());
-      if t.next_spawn <= t.clock then activate_due t;
-      if t.next_wake <= t.clock then wake_due t;
-      if t.live = 0 && t.next_spawn = max_int then All_finished
-      else if t.clock >= t.deadline then Budget_exhausted
-      else if t.runnable_count = 0 then begin
-        if t.next_timed < t.deadline then begin
-          (* Everything present is stalled (or finished) but a join or a
-             wake-up is scheduled: fast-forward the idle time to the next
-             timer. [wake_due] always consumes the due queue entries, so
-             this makes progress even on stale entries. *)
-          t.clock <- t.next_timed;
-          if t.next_spawn <= t.clock then activate_due t;
-          if t.next_wake <= t.clock then wake_due t;
-          loop ()
-        end
-        else if t.live = 0 then Budget_exhausted
-        else Only_stalled
-      end
-      else begin
-        let index =
-          match t.pick_fn with
-          | Some f ->
-              let i = f t.runnable_count in
-              if i < 0 || i >= t.runnable_count then
-                invalid_arg "Scheduler: pick_fn out of range"
-              else i
-          | None -> Random.State.int t.rng t.runnable_count
-        in
-        dispatch t t.runnable.(index);
-        loop ()
-      end
-    end
+    else if i = code_all_finished then All_finished
+    else if i = code_budget_exhausted then Budget_exhausted
+    else Only_stalled
   in
-  Fun.protect ~finally:(fun () -> d.active <- previous) loop
+  Fun.protect
+    ~finally:(fun () -> d.active <- previous)
+    (fun () -> loop (handoff t (decide t)))
 
 let rehook t =
   t.hooked <- (t.pick_fn != None || t.on_decision != None)

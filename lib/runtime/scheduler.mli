@@ -69,7 +69,7 @@ val spawn_at : t -> at:int -> (unit -> unit) -> unit
     submission order. Callable before a run or from inside a running
     thread (a leaving session typically schedules its lane's next
     session). When every present thread is stalled or finished but joins
-    are still queued, the run loop fast-forwards the clock to the next
+    are still queued, the scheduler fast-forwards the clock to the next
     join instead of reporting [Only_stalled]. With no queued joins the
     scheduler's RNG draws are bit-identical to a scheduler without this
     feature, so churn-free schedules and their golden hashes are
@@ -82,7 +82,7 @@ val sleep_until : int -> unit
 (** Park the calling thread until the scheduler clock reaches the absolute
     time given, at zero simulated cost (sleeping is waiting, not work). A
     no-op when the time is already due. The park is a {!stall} with a
-    wake-up timer: the run loop revives the thread (as by {!unstall}, so
+    wake-up timer: the scheduler revives the thread (as by {!unstall}, so
     the trace shows [Ev_stall]/[Ev_unstall]) once the clock gets there,
     fast-forwarding idle gaps when nothing else is runnable — the
     open-loop traffic driver and periodic background-reclaimer threads
@@ -98,7 +98,15 @@ val run : ?budget:int -> t -> outcome
 (** Execute until every thread finished, the cost [budget] (default
     unlimited) is exhausted, or only stalled threads remain. Re-entrant in
     the sense that a [Budget_exhausted] or [Only_stalled] run can be
-    continued by calling [run] again (e.g. after {!unstall}). *)
+    continued by calling [run] again (e.g. after {!unstall}).
+
+    [run] takes the first scheduling decision and starts threads that have
+    not run yet; every other switch is a direct handoff: the handler that
+    catches a thread's yield, stall or finish takes the next decision and
+    resumes the chosen thread itself, so a switch costs one stack switch
+    and the stack depth is constant. An exception raised by a thread or a
+    {!set_picker} hook ends [run] with that exception, and [run] restores
+    the domain's active scheduler as on a normal return. *)
 
 val now : t -> int
 (** Accumulated cost units consumed so far. *)
@@ -205,7 +213,7 @@ val set_picker : t -> (int -> int) option -> unit
     systematically; [None] restores seeded random scheduling. *)
 
 val set_on_decision : t -> (unit -> unit) option -> unit
-(** Install a hook fired at the top of every {!run}-loop iteration,
+(** Install a hook fired at the top of every scheduling decision,
     before the runnable set is inspected. The hook may call {!suspend},
     {!resume}, {!unstall} or {!kill}; the decision that follows sees the
     updated runnable set. This is the fault-injection entry point. *)

@@ -246,6 +246,104 @@ let test_step_allocates_nothing () =
   Alcotest.(check (float 0.))
     "minor words for 100,000 charged reads" 0. !words
 
+(* Every switch is a handoff: the handler that catches a yield resumes
+   the next fiber with a [continue] in tail position, so the handler's
+   stack does not grow with the number of switches. Under a 2 MB stack
+   limit, eight readers switch about 1.75 M times here, through yields,
+   a timed sleeper's stalls and wake-ups, and one stall/unstall pair; a
+   handoff that kept its frame would raise [Stack_overflow]. *)
+let test_handoff_constant_stack () =
+  let saved = Gc.get () in
+  Gc.set { saved with stack_limit = 1 lsl 18 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  let sched = Sched.create ~seed:5 () in
+  let c = Cell.make 1 in
+  let reads () =
+    for _ = 1 to 250_000 do
+      ignore (Sys.opaque_identity (Cell.get c))
+    done
+  in
+  let stalled = Sched.spawn sched (fun () -> Sched.stall ()) in
+  for _ = 1 to 7 do
+    ignore (Sched.spawn sched reads)
+  done;
+  ignore
+    (Sched.spawn sched (fun () ->
+         reads ();
+         while Sched.state sched stalled = Sched.Runnable do
+           ignore (Cell.get c)
+         done;
+         Sched.unstall sched stalled));
+  ignore
+    (Sched.spawn sched (fun () ->
+         for _ = 1 to 1_000 do
+           Sched.sleep_until (Sched.now sched + 500)
+         done));
+  match Sched.run sched with
+  | Sched.All_finished -> ()
+  | _ -> Alcotest.fail "expected All_finished"
+
+(* The handler runs the picker and the threads' code up to their next
+   yield, so an exception from either leaves [run] from inside a switch.
+   [run] must raise it and leave the domain with no active scheduler, and
+   no decision state may carry over: a fresh scheduler on the domain runs
+   to completion, and so does the one whose picker raised once the
+   picker is gone. *)
+exception Picker_gave_up
+
+let test_exception_inside_handoff () =
+  let readers sched n =
+    let c = Cell.make 0 in
+    for _ = 1 to 4 do
+      ignore
+        (Sched.spawn sched (fun () ->
+             for _ = 1 to n do
+               ignore (Cell.fetch_and_add c 1)
+             done))
+    done
+  in
+  let raises name exn sched =
+    (match Sched.run sched with
+    | _ -> Alcotest.failf "%s: run returned" name
+    | exception e when e == exn -> ()
+    | exception e -> raise e);
+    Alcotest.(check bool) (name ^ ": no active scheduler") false
+      (Sched.inside ())
+  in
+  let finishes name sched =
+    match Sched.run sched with
+    | Sched.All_finished -> ()
+    | _ -> Alcotest.failf "%s: expected All_finished" name
+  in
+  let fresh name =
+    let sched = Sched.create () in
+    readers sched 1_000;
+    finishes (name ^ ": fresh scheduler") sched
+  in
+  let boom = Failure "boom" in
+  let sched = Sched.create () in
+  readers sched 10_000;
+  ignore
+    (Sched.spawn sched (fun () ->
+         for _ = 1 to 10_000 do
+           Sched.step 1
+         done;
+         raise boom));
+  raises "thread raises" boom sched;
+  fresh "thread raises";
+  let sched = Sched.create () in
+  readers sched 10_000;
+  let decisions = ref 0 in
+  Sched.set_picker sched
+    (Some
+       (fun width ->
+         incr decisions;
+         if !decisions > 20_000 then raise Picker_gave_up else width - 1));
+  raises "picker raises" Picker_gave_up sched;
+  fresh "picker raises";
+  Sched.set_picker sched None;
+  finishes "picker removed" sched
+
 let suite =
   [
     Alcotest.test_case "runs-to-completion" `Quick test_runs_to_completion;
@@ -261,4 +359,8 @@ let suite =
     Alcotest.test_case "golden-trace-stable" `Quick test_golden_trace_stable;
     Alcotest.test_case "step-allocates-nothing" `Quick
       test_step_allocates_nothing;
+    Alcotest.test_case "handoff-constant-stack" `Quick
+      test_handoff_constant_stack;
+    Alcotest.test_case "exception-inside-handoff" `Quick
+      test_exception_inside_handoff;
   ]

@@ -44,14 +44,15 @@ else
   echo "==> skipping @fmt (ocamlformat not installed)"
 fi
 
-# Parallel-sweep determinism smoke: the micro grid and the open-loop
-# service scenario (timers, sleepers, churn, the background reclaimer),
-# fanned out across 2 worker domains, must write a byte-identical
-# artifact AND byte-identical cache files — ~domains is an
-# implementation detail, not an input. A simulated cell is charged on
-# the domain that built it, so this is also where a structure built on
-# one domain and run on another would show.
-for kind in micro service; do
+# Parallel-sweep determinism smoke: the micro grid, the open-loop
+# service scenario (timers, sleepers, churn, the background reclaimer)
+# and the churn scenario (session threads that join through [spawn_at],
+# which [Scheduler.run] starts from its own frame), fanned out across 2
+# worker domains, must write a byte-identical artifact AND byte-identical
+# cache files — ~domains is an implementation detail, not an input. A
+# simulated cell is charged on the domain that built it, so this is also
+# where a structure built on one domain and run on another would show.
+for kind in micro service churn; do
   echo "==> 2-domain $kind determinism smoke run"
   dune exec bin/figures.exe -- "$kind" \
     -o "$tmpdir/$kind.seq" --cache-dir "$tmpdir/$kind.seqcache" >/dev/null

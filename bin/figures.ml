@@ -57,35 +57,12 @@ let progress_term =
         if p then Some (Executor.print_progress Fmt.stderr) else None)
     $ p)
 
-(* Enabling is a side effect of term evaluation, so every command gets the
-   flag by composing this term; the returned bool gates the final report. *)
-let profile_term =
-  let p =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Collect per-phase wall-clock timings (prefill, measured run, \
-             cache IO) and print them to stderr on exit.")
-  in
-  Term.(
-    const (fun p ->
-        Smr_harness.Profile.set_enabled p;
-        p)
-    $ p)
-
-let profile_report profile =
-  if profile then Fmt.epr "%a" Smr_harness.Profile.pp ()
-
 let fig_cmd (name, doc, driver) =
-  let run profile domains cache on_progress scale =
-    driver ?domains ?cache ?on_progress Fmt.stdout ~scale;
-    profile_report profile
+  let run domains cache on_progress scale =
+    driver ?domains ?cache ?on_progress Fmt.stdout ~scale
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ profile_term $ domains_term $ cache_term $ progress_term
-      $ scale_term)
+    Term.(const run $ domains_term $ cache_term $ progress_term $ scale_term)
 
 (* Every table and figure, in the order [all] prints them. *)
 let sections =
@@ -166,7 +143,7 @@ let point_cmd =
              the scheme's reclamation relief; if that frees nothing the run \
              fails with a simulated OOM. Default: unlimited.")
   in
-  let run ds scheme threads stalled reads node_bytes budget_bytes profile scale =
+  let run ds scheme threads stalled reads node_bytes budget_bytes scale =
     let cfg =
       {
         (Plan.base_cfg ~max_threads:1) with
@@ -199,13 +176,12 @@ let point_cmd =
       c.read_cost c.write_cost c.plain_write_cost c.cas_cost c.faa_cost
       c.swap_cost c.alloc_cost
       (Smr_runtime.Sim_cell.total_cost c);
-    Fmt.pr "metrics: %a@." Smr.Metrics.pp r.metrics;
-    profile_report profile
+    Fmt.pr "metrics: %a@." Smr.Metrics.pp r.metrics
   in
   Cmd.v (Cmd.info "point" ~doc)
     Term.(
       const run $ ds $ scheme $ threads $ stalled $ reads $ node_bytes
-      $ budget_bytes $ profile_term $ scale_term)
+      $ budget_bytes $ scale_term)
 
 let verify_cmd =
   let doc =
@@ -421,30 +397,17 @@ let scenario_cmd (Smr_harness.Scenario.Any sc as scenario) =
                 re-read it; the exit status is the re-read verdict."
                sc.S.artifact))
   in
-  (* Only wall-clock scenarios repeat their measurements. *)
-  let reps =
-    if sc.S.deterministic then Term.const 1
-    else
-      Arg.(
-        value & opt int 3
-        & info [ "reps" ] ~docv:"R"
-            ~doc:
-              "Native repetitions per ladder cell; the median ops/sec is \
-               ranked, damping wall-clock noise.")
-  in
-  let run out profile domains cache on_progress reps scale =
+  let run out domains cache on_progress scale =
     let ok =
-      S.run ?out Fmt.stdout { S.scale; domains; cache; on_progress; reps }
-        scenario
+      S.run ?out Fmt.stdout { S.scale; domains; cache; on_progress } scenario
     in
-    profile_report profile;
     if not ok then exit 1
   in
   Cmd.v
     (Cmd.info sc.S.kind ~doc:(sc.S.doc ^ " Exits 1 unless the verdict holds."))
     Term.(
-      const run $ out $ profile_term $ domains_term $ cache_term
-      $ progress_term $ reps $ scale_term)
+      const run $ out $ domains_term $ cache_term $ progress_term
+      $ scale_term)
 
 (* Must come first: if this process is a re-exec'd native-cell worker
    (see Native_workload.guard_main), it runs the cell and exits instead

@@ -5,10 +5,8 @@
     suite's budgets. *)
 
 open Cmdliner
-module Profile = Smr_harness.Profile
 
-let run ds scheme threads ops rounds quiescent node_bytes budget_bytes profile
-    =
+let run ds scheme threads ops rounds quiescent node_bytes budget_bytes =
   let module Sched = Smr_runtime.Scheduler in
   let (module D : Smr_harness.Registry.CONC_SET) =
     Smr_harness.Registry.Sim.make_set ds scheme
@@ -41,8 +39,8 @@ let run ds scheme threads ops rounds quiescent node_bytes budget_bytes profile
              done))
     done;
     (try
-       (match Profile.time "stress.round" (fun () -> Sched.run sched) with
-       | Sched.All_finished -> Profile.add_steps "stress.round" (Sched.now sched)
+       (match Sched.run sched with
+       | Sched.All_finished -> ()
        | _ -> failwith "did not finish");
        if quiescent then begin
          let drainer = Sched.create () in
@@ -51,7 +49,7 @@ let run ds scheme threads ops rounds quiescent node_bytes budget_bytes profile
                 for key = 0 to 511 do
                   ignore (D.remove set key)
                 done));
-         ignore (Profile.time "stress.drain" (fun () -> Sched.run drainer));
+         ignore (Sched.run drainer);
          D.flush set;
          let s = D.stats set in
          if D.S.scheme_name <> "Leaky" && Smr.Smr_intf.unreclaimed s <> 0
@@ -64,7 +62,6 @@ let run ds scheme threads ops rounds quiescent node_bytes budget_bytes profile
        Fmt.pr "FAIL seed=%d: %s@." seed (Printexc.to_string e));
     if seed mod 50 = 0 then Fmt.pr "... %d/%d rounds@." seed rounds
   done;
-  if profile then Fmt.epr "%a" Profile.pp ();
   if !failures = 0 then Fmt.pr "OK: %d rounds clean@." rounds
   else begin
     Fmt.pr "%d failing rounds@." !failures;
@@ -124,26 +121,11 @@ let () =
             "Slab-arena byte budget; exceeding it after reclamation relief \
              makes the round fail with a simulated OOM. Default: unlimited.")
   in
-  let profile =
-    let p =
-      Arg.(
-        value & flag
-        & info [ "profile" ]
-            ~doc:
-              "Collect per-phase wall-clock timings (simulated rounds, \
-               quiescent drains) and print them to stderr on exit.")
-    in
-    Term.(
-      const (fun p ->
-          Profile.set_enabled p;
-          p)
-      $ p)
-  in
   let cmd =
     Cmd.v
       (Cmd.info "hyaline-stress" ~doc:"Seeded soak testing with the auditor")
       Term.(
         const run $ ds $ scheme $ threads $ ops $ rounds $ quiescent
-        $ node_bytes $ budget_bytes $ profile)
+        $ node_bytes $ budget_bytes)
   in
   exit (Cmd.eval cmd)

@@ -19,7 +19,6 @@ type progress = {
   pr_cell : Plan.cell;
   pr_cached : bool;
   pr_ok : bool;
-  pr_elapsed : float;
   pr_eta : float;
 }
 
@@ -400,28 +399,21 @@ let run ?(domains = 1) ?cache ?on_progress (plan : Plan.t) : summary =
     let hash = Plan.cell_hash cell in
     let cached =
       match cache with
-      | Some dir ->
-          Profile.time "cache.lookup" (fun () -> cache_lookup ~dir cell hash)
+      | Some dir -> cache_lookup ~dir cell hash
       | None -> None
     in
     let outcome, from_cache =
       match cached with
       | Some o ->
           Atomic.incr cache_hits;
-          (match o with Failed _ -> Atomic.incr failed | Done _ -> ());
           (o, true)
       | None ->
           Atomic.incr executed;
-          let o = Profile.time "cell.simulate" (fun () -> run_cell cell) in
-          (match o with
-          | Done r -> Profile.add_steps "cell.simulate" r.Workload.steps
-          | Failed _ -> Atomic.incr failed);
-          Option.iter
-            (fun dir ->
-              Profile.time "cache.store" (fun () -> cache_store ~dir cell hash o))
-            cache;
+          let o = run_cell cell in
+          Option.iter (fun dir -> cache_store ~dir cell hash o) cache;
           (o, false)
     in
+    (match outcome with Failed _ -> Atomic.incr failed | Done _ -> ());
     rows.(idx) <- Some { cell; hash; outcome; from_cache };
     match on_progress with
     | None -> ()
@@ -439,7 +431,6 @@ let run ?(domains = 1) ?cache ?on_progress (plan : Plan.t) : summary =
                 pr_cell = cell;
                 pr_cached = from_cache;
                 pr_ok = (match outcome with Done _ -> true | Failed _ -> false);
-                pr_elapsed = elapsed;
                 pr_eta = eta;
               })
   in

@@ -48,7 +48,6 @@ type progress = {
   pr_cell : Plan.cell;
   pr_cached : bool;
   pr_ok : bool;
-  pr_elapsed : float;  (** seconds since the sweep started *)
   pr_eta : float;  (** estimated seconds remaining *)
 }
 

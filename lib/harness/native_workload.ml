@@ -189,7 +189,6 @@ let spec_to_json (s : spec) : Json.t =
             ("era_freq", Json.Int c.Smr.Smr_intf.era_freq);
             ("ack_threshold", Json.Int c.Smr.Smr_intf.ack_threshold);
             ("adaptive", Json.Bool c.Smr.Smr_intf.adaptive);
-            ("hp_indices", Json.Int c.Smr.Smr_intf.hp_indices);
             ("node_bytes", Json.Int c.Smr.Smr_intf.node_bytes);
             ( "budget_bytes",
               match c.Smr.Smr_intf.budget_bytes with
@@ -218,7 +217,6 @@ let spec_of_json (j : Json.t) : spec =
         era_freq = i "era_freq" cfg;
         ack_threshold = i "ack_threshold" cfg;
         adaptive = to_bool (member_exn "adaptive" cfg);
-        hp_indices = i "hp_indices" cfg;
         node_bytes = i "node_bytes" cfg;
         budget_bytes =
           (match member_exn "budget_bytes" cfg with

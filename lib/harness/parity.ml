@@ -465,14 +465,14 @@ let judge_report p =
 (* 1. the full registry matrix on real domains, watchdog-guarded; 2. the
    pinned ordering ladder, sim (cached, executor) vs native medians; 3.
    micro-benchmarks for the drift record. *)
-let collect ?cache ?on_progress ~domains ~reps ~scale () =
+let collect ?cache ?on_progress ~domains ~scale () =
   (* Ladder cells must run long enough that scheme overhead, not
      scheduler jitter, decides the throughput ranks — short runs measure
      noise and the tau bar exists to catch real inversions, not that. *)
-  let matrix_ops, ladder_ops, quota_s =
+  let matrix_ops, ladder_ops, quota_s, reps =
     match (scale : Plan.scale) with
-    | Plan.Quick -> (300, 10_000, 0.01)
-    | Plan.Full -> (2_000, 40_000, 0.05)
+    | Plan.Quick -> (300, 10_000, 0.01, 3)
+    | Plan.Full -> (2_000, 40_000, 0.05, 5)
   in
   let p_matrix = matrix ~domains ~ops_per_thread:matrix_ops () in
   let p_ordering, stats =

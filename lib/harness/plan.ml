@@ -164,13 +164,17 @@ let grid ~name ?(arch = Registry.X86) ?(scale = Quick)
   in
   { name; cells }
 
-(* The Fig. 10a-style footprint sweep: a write-heavy hashmap with a couple
-   of permanently stalled readers, sampled on a fixed timeline. Non-robust
-   EBR cannot advance its epoch past a stalled reader, so its resident
-   bytes grow for the whole run; robust schemes (Hyaline-S, IBR, HE) stay
-   bounded. A no-stall Epoch series anchors the healthy baseline. Small
-   batches keep reclamation granularity fine enough to see the contrast. *)
-let footprint ?(scale = Quick) () =
+(* The Fig. 10a-style stalled-reader adversary: a write-heavy hashmap
+   with a couple of permanently stalled readers, sampled on a fixed
+   timeline, over [schemes] after Epoch and a no-stall Epoch series that
+   anchors the healthy baseline. Non-robust EBR cannot advance its epoch
+   past a stalled reader, so its resident bytes grow for the whole run;
+   robust schemes stay bounded. Small batches keep reclamation
+   granularity fine enough to see the contrast, and a small, hot working
+   set churns pre-stall nodes out within the first fraction of the run,
+   so robust schemes visibly plateau while Epoch keeps leaking until the
+   end. *)
+let stalled_reader_sweep ~name ~scale schemes =
   let budget = match scale with Quick -> 400_000 | Full -> 1_600_000 in
   let sample_every = budget / 40 in
   let cfg =
@@ -182,64 +186,31 @@ let footprint ?(scale = Quick) () =
       ack_threshold = 16;
     }
   in
-  (* A small, hot working set: pre-stall nodes churn out within the first
-     fraction of the run, so robust schemes visibly plateau while Epoch's
-     frozen horizon keeps leaking until the end. *)
   let mk ?label ?(stalled = 2) scheme =
     cell ?label ~scale ~stalled ~budget ~sample_every ~cfg ~seed:7
       ~prefill:128 ~key_range:256 ~scheme ~structure:Registry.Hashmap
       ~threads:8 ()
   in
   {
-    name = "footprint";
+    name;
     cells =
-      [
-        mk "Epoch";
-        mk ~label:"Epoch-nostall" ~stalled:0 "Epoch";
-        mk "IBR";
-        mk "HP";
-        mk "Hyaline";
-        mk "Hyaline-S";
-      ];
+      mk "Epoch"
+      :: mk ~label:"Epoch-nostall" ~stalled:0 "Epoch"
+      :: List.map (fun s -> mk s) schemes;
   }
 
-(* The Crystalline wait-freedom sweep: the same Fig. 10a-style adversary
-   as {!footprint} — a write-heavy hashmap with two permanently stalled
-   readers — run over the Hyaline lineage. Epoch's frozen horizon leaks
-   for the whole run while Hyaline-1S and both Crystalline flavours
-   plateau; the no-stall Epoch series anchors the healthy baseline. The
-   per-op step-count half of the wait-freedom verdict does not fit the
-   executor's cell model (it needs a custom picker) and lives in
-   {!Verify.steps_probe}, which the waitfree figure runs uncached. *)
+let footprint ?(scale = Quick) () =
+  stalled_reader_sweep ~name:"footprint" ~scale
+    [ "IBR"; "HP"; "Hyaline"; "Hyaline-S" ]
+
+(* The Crystalline wait-freedom sweep: the {!footprint} adversary over the
+   Hyaline lineage, where Hyaline-1S and both Crystalline flavours
+   plateau. The per-op step-count half of the wait-freedom verdict does
+   not fit the executor's cell model (it needs a custom picker) and lives
+   in {!Verify.steps_probe}, which the waitfree figure runs uncached. *)
 let waitfree ?(scale = Quick) () =
-  let budget = match scale with Quick -> 400_000 | Full -> 1_600_000 in
-  let sample_every = budget / 40 in
-  let cfg =
-    {
-      (base_cfg ~max_threads:1) with
-      Smr.Smr_intf.slots = 8;
-      batch_size = 8;
-      era_freq = 16;
-      ack_threshold = 16;
-    }
-  in
-  let mk ?label ?(stalled = 2) scheme =
-    cell ?label ~scale ~stalled ~budget ~sample_every ~cfg ~seed:7
-      ~prefill:128 ~key_range:256 ~scheme ~structure:Registry.Hashmap
-      ~threads:8 ()
-  in
-  {
-    name = "waitfree";
-    cells =
-      [
-        mk "Epoch";
-        mk ~label:"Epoch-nostall" ~stalled:0 "Epoch";
-        mk "Hyaline";
-        mk "Hyaline-1S";
-        mk "Crystalline-L";
-        mk "Crystalline-W";
-      ];
-  }
+  stalled_reader_sweep ~name:"waitfree" ~scale
+    [ "Hyaline"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ]
 
 (* The thread-churn sweep (ROADMAP items 1/5): a hashmap under a steady
    stream of short-lived session threads that register, run a small burst
@@ -376,7 +347,7 @@ let cell_key (c : cell) : string =
     s.Workload.op_body cfg.Smr.Smr_intf.max_threads cfg.Smr.Smr_intf.slots
     cfg.Smr.Smr_intf.batch_size cfg.Smr.Smr_intf.era_freq
     cfg.Smr.Smr_intf.ack_threshold cfg.Smr.Smr_intf.adaptive
-    cfg.Smr.Smr_intf.hp_indices cfg.Smr.Smr_intf.node_bytes
+    Smr.Smr_intf.hp_indices cfg.Smr.Smr_intf.node_bytes
     (match cfg.Smr.Smr_intf.budget_bytes with
     | None -> "-"
     | Some b -> string_of_int b)

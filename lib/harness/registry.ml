@@ -8,11 +8,6 @@ type arch = X86 | Ppc
 
 let arch_name = function X86 -> "x86" | Ppc -> "ppc"
 
-let arch_of_name = function
-  | "x86" -> Some X86
-  | "ppc" -> Some Ppc
-  | _ -> None
-
 type structure =
   | List_set
   | Hashmap

@@ -25,7 +25,6 @@ module type CONC_SET = Smr_ds.Ds_intf.CONC_SET
 type arch = X86 | Ppc
 
 val arch_name : arch -> string
-val arch_of_name : string -> arch option
 
 (** Every data structure in [lib/ds]: the paper's benchmark quartet plus
     the skip list, Treiber stack and Michael–Scott queue. *)

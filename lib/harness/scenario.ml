@@ -22,16 +22,12 @@ type ctx = {
       (** sweep worker domains; for parity, the domains per native cell *)
   cache : string option;
   on_progress : (Executor.progress -> unit) option;
-  reps : int;  (** repetitions of each wall-clock measurement (parity) *)
 }
 
 type 'a t = {
   kind : string;  (** the subcommand and the envelope's [kind] *)
   artifact : string;  (** the artifact file is [BENCH_<artifact>.json] *)
   doc : string;
-  deterministic : bool;
-      (** the artifact is byte-reproducible from a fixed binary; parity's
-          body is wall-clock *)
   plan : ctx -> 'a * Executor.stats;
   judge : 'a -> Verdict.t;
   render : Format.formatter -> 'a -> unit;
@@ -219,7 +215,6 @@ let micro =
       "Every x86 bench scheme on the write-heavy hash map at 2 and 8 \
        threads, with each run's full result: op-class costs, latency, \
        lifecycle, series and allocator counters.";
-    deterministic = true;
     plan = micro_plan;
     judge =
       (fun runs ->
@@ -299,7 +294,6 @@ let footprint =
     kind = "footprint";
     artifact = "footprint";
     doc = "Resident allocator bytes vs simulated time under stalled readers.";
-    deterministic = true;
     plan =
       (fun ctx ->
         run_sweep ~kind:"footprint" (Plan.footprint ~scale:ctx.scale ()) ctx);
@@ -457,7 +451,6 @@ let churn =
     doc =
       "Thread churn: per-scheme join/leave cost, slot reuse and orphan \
        accounting under thousands of short-lived session threads.";
-    deterministic = true;
     plan = churn_plan;
     judge = judge_churn;
     render = render_churn;
@@ -491,8 +484,6 @@ type service = {
   sv_scale : Plan.scale;
   sv_budget : int;
   sv_rows : service_row list;
-  sv_wall : float;  (** seconds the sweep took; stdout only, never the body *)
-  sv_executed : int;
 }
 
 let failed_row label msg =
@@ -603,9 +594,7 @@ let judge_service ~budget rows =
 
 let service_plan ctx =
   let plan = Plan.service_sweep ~scale:ctx.scale () in
-  let started = Unix.gettimeofday () in
   let summary = execute ctx plan in
-  let wall = Unix.gettimeofday () -. started in
   let sv_rows =
     List.map
       (fun (r : Executor.row) ->
@@ -615,15 +604,8 @@ let service_plan ctx =
         | Executor.Failed msg -> failed_row label msg)
       summary.Executor.rows
   in
-  let stats = summary.Executor.stats in
-  ( {
-      sv_scale = ctx.scale;
-      sv_budget = budget_of plan;
-      sv_rows;
-      sv_wall = wall;
-      sv_executed = stats.Executor.executed;
-    },
-    stats )
+  ( { sv_scale = ctx.scale; sv_budget = budget_of plan; sv_rows },
+    summary.Executor.stats )
 
 let render_service ppf t =
   Fmt.pf ppf
@@ -646,17 +628,7 @@ let render_service ppf t =
   print_timeline ppf ~budget:t.sv_budget
     (List.filter_map
        (fun r -> if r.error = None then Some (r.label, r.timeline) else None)
-       t.sv_rows);
-  (* The step count is nominal (budget x executed cells; an OOM cell stops
-     short of its budget). *)
-  if t.sv_executed > 0 && t.sv_wall > 0.0 then
-    Fmt.pf ppf
-      "@.service throughput: %d cells x %d sim steps in %.2fs = %.3e \
-       sim-steps/sec@."
-      t.sv_executed t.sv_budget t.sv_wall
-      (float_of_int (t.sv_budget * t.sv_executed) /. t.sv_wall)
-  else
-    Fmt.pf ppf "@.service throughput: all cells cached, no fresh execution@."
+       t.sv_rows)
 
 let service_row_json r =
   Json.Obj
@@ -703,7 +675,6 @@ let service =
        reclaimer and a byte-budget pressure spike, one cell per scheme. \
        Prints SLO percentiles (p50/p99/p999 sojourn, queue p99) and \
        resident-byte trajectories.";
-    deterministic = true;
     plan = service_plan;
     judge = (fun t -> judge_service ~budget:t.sv_budget t.sv_rows);
     render = render_service;
@@ -815,7 +786,6 @@ let waitfree =
        plus the uncached probes — per-op reader step counts under a \
        starvation schedule and peak unreclaimed under stall/kill \
        injection.";
-    deterministic = true;
     plan =
       (fun ctx ->
         let sweep, stats =
@@ -838,12 +808,11 @@ let parity =
        full scheme x structure matrix on real domains (watchdog-guarded) \
        and compare the relative scheme orderings (throughput rank, \
        peak-unreclaimed rank) on a pinned ladder.";
-    deterministic = false;
     plan =
       (fun ctx ->
         Parity.collect ?cache:ctx.cache ?on_progress:ctx.on_progress
           ~domains:(Option.value ctx.domains ~default:2)
-          ~reps:ctx.reps ~scale:ctx.scale ());
+          ~scale:ctx.scale ());
     judge = Parity.judge_report;
     render = Parity.print;
     body = Parity.body;

@@ -218,24 +218,6 @@ let tier_mixes ~threads ~default tiers =
       in
       Array.init (max threads 1) (fun tid -> mix_of_slot (tid mod total))
 
-let tier_names ~threads tiers =
-  let tiers = List.filter (fun t -> t.tier_weight > 0) tiers in
-  match tiers with
-  | [] -> Array.make (max threads 1) "default"
-  | _ ->
-      let total = List.fold_left (fun a t -> a + t.tier_weight) 0 tiers in
-      let name_of_slot slot =
-        let rec go acc = function
-          | [] -> assert false
-          | [ t ] -> ignore acc; t.tier_name
-          | t :: rest ->
-              if slot < acc + t.tier_weight then t.tier_name
-              else go (acc + t.tier_weight) rest
-        in
-        go 0 tiers
-      in
-      Array.init (max threads 1) (fun tid -> name_of_slot (tid mod total))
-
 (* -- background reclaimer ------------------------------------------------ *)
 
 (** The background-reclaimer knob: how (if at all) a dedicated service

@@ -46,7 +46,6 @@ let tiny_cfg ~threads =
     batch_size = 2;
     era_freq = 2;
     ack_threshold = 4;
-    hp_indices = 8;
   }
 
 (* Shape of one conformance program, recorded in trace files so a

@@ -201,12 +201,11 @@ let run (module D : Smr_ds.Ds_intf.CONC_SET) (spec : spec) : result =
            if D.insert set (Random.State.int rng spec.key_range) then
              incr filled
          done));
-  (match Profile.time "workload.prefill" (fun () -> Sched.run sched) with
+  (match Sched.run sched with
   | Sched.All_finished -> ()
   | Sched.Budget_exhausted | Sched.Only_stalled ->
       invalid_arg "Workload.run: prefill did not finish");
   let steps0 = Sched.now sched in
-  Profile.add_steps "workload.prefill" steps0;
   let counts0 = Smr_runtime.Sim_cell.snapshot_counts () in
   let ops = Array.make spec.threads 0 in
   let meas = Measure.create ~threads:spec.threads ~sample_every:spec.sample_every in
@@ -396,14 +395,10 @@ let run (module D : Smr_ds.Ds_intf.CONC_SET) (spec : spec) : result =
                Measure.reclaimer_woke meas;
                Sched.step round_cost
              done)));
-  (match
-     Profile.time "workload.measured" (fun () ->
-         Sched.run ~budget:spec.budget sched)
-   with
+  (match Sched.run ~budget:spec.budget sched with
   | Sched.Budget_exhausted | Sched.Only_stalled -> ()
   | Sched.All_finished -> invalid_arg "Workload.run: workers terminated");
   let steps = Sched.now sched - steps0 in
-  Profile.add_steps "workload.measured" steps;
   let total_ops = Array.fold_left ( + ) 0 ops + !c_session_ops in
   let latency = Measure.merged_latency meas in
   (* Capture the result views before the churn teardown flush below can

@@ -186,7 +186,6 @@ let free t (slot : slot) =
   ignore (Stdlib.Atomic.fetch_and_add t.resident (-class_bytes));
   Mutex.unlock t.lock
 
-let note_pressure t = Stdlib.Atomic.incr t.pressure_events
 let note_oom t = Stdlib.Atomic.incr t.oom_failures
 let slot_gen = Slab.slot_gen
 let slot_bytes = Slab.slot_bytes

@@ -50,19 +50,6 @@ type stats = {
   oom_failures : int;  (** budget hits that survived the relief attempt *)
 }
 
-let empty_stats =
-  {
-    bytes_resident = 0;
-    bytes_hwm = 0;
-    slab_bytes = 0;
-    slab_bytes_hwm = 0;
-    slabs_live = 0;
-    reuse_hits = 0;
-    fresh_allocs = 0;
-    pressure_events = 0;
-    oom_failures = 0;
-  }
-
 (** Fraction of carved slab storage that is {e not} resident payload —
     free-listed slots plus never-carved tails. 0 when nothing was carved. *)
 let fragmentation s =

@@ -50,5 +50,3 @@ let reissue slot =
   slot.slab.live <- slot.slab.live + 1
 
 let release slot = slot.slab.live <- slot.slab.live - 1
-
-let pp_slot ppf s = Fmt.pf ppf "slab%d[%d]#%d" s.slab.id s.index (slot_gen s)

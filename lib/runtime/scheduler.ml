@@ -1,13 +1,3 @@
-(* A shared-memory access footprint, reported by instrumented cells at
-   each yield point. [cell] is the cell's per-run unique id; [write] is
-   true for any mutating operation (stores, CAS, FAA, swap). The explorer
-   uses footprints to decide which scheduling choices commute.
-
-   The record is the public-API shape only: internally footprints live in
-   two unboxed thread fields ([next_cell]/[next_write]) so the hot path
-   never allocates one. *)
-type access = { cell : int; write : bool }
-
 (* Both effects are payload-free: the step's cost and footprint are
    written into scheduler/thread fields before performing, so a yield
    allocates nothing. *)
@@ -38,7 +28,9 @@ type thread = {
   mutable suspended : bool;  (* externally parked by fault injection *)
   mutable next_cell : int;
       (* cell id of the operation this thread performs when next resumed;
-         -1 for unknown (conservatively dependent) *)
+         -1 for unknown (conservatively dependent). With [next_write] (the
+         operation mutates the cell) this is the footprint the explorer
+         uses to decide which scheduling choices commute. *)
   mutable next_write : bool;
 }
 
@@ -573,13 +565,9 @@ let[@inline] step_at d ~cell ~write cost =
   let t = d.active in
   if t.current >= 0 then step_on t cost cell write
 
-let step ?access cost =
+let step cost =
   let t = (domain ()).active in
-  if t.current >= 0 then begin
-    match access with
-    | None -> step_on t cost (-1) false
-    | Some a -> step_on t cost a.cell a.write
-  end
+  if t.current >= 0 then step_on t cost (-1) false
 
 let stall () =
   if inside () then Effect.perform Stall
@@ -644,10 +632,8 @@ let kill t tid =
     emit t (Ev_kill { tid; at = t.clock })
   end
 
-let live_threads t = t.live
 let now t = t.clock
 let thread_count t = t.count
-let runnable_width t = t.runnable_count
 
 let runnable_tid t i =
   if i < 0 || i >= t.runnable_count then
@@ -661,12 +647,6 @@ let next_cell t tid =
 let next_write t tid =
   check_tid t tid ~what:"next_write";
   t.threads.(tid).next_write
-
-let next_access t tid =
-  check_tid t tid ~what:"next_access";
-  let th = t.threads.(tid) in
-  if th.next_cell < 0 then None
-  else Some { cell = th.next_cell; write = th.next_write }
 
 let state t tid =
   check_tid t tid ~what:"state";

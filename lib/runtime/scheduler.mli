@@ -23,12 +23,6 @@ type outcome =
   | Budget_exhausted  (** the time budget ran out first *)
   | Only_stalled  (** all remaining threads are stalled — a livelock *)
 
-type access = { cell : int; write : bool }
-(** Footprint of one shared-memory operation: the accessed cell's per-run
-    id and whether the operation mutates it. Reported by instrumented
-    cells via {!step}; two operations commute iff they touch different
-    cells or are both reads. *)
-
 (** Trace events emitted to the optional sink installed with
     {!set_tracer}. [at] is the scheduler clock when the event fired. *)
 type event =
@@ -111,12 +105,10 @@ val run : ?budget:int -> t -> outcome
 val now : t -> int
 (** Accumulated cost units consumed so far. *)
 
-val step : ?access:access -> int -> unit
-(** Called by instrumented cells from inside a thread: charge [cost] units
-    and yield, optionally reporting the footprint of the operation the
-    thread will perform when next resumed. Outside any scheduler this is a
-    no-op, so simulated structures remain usable from plain sequential
-    code and unit tests. *)
+val step : int -> unit
+(** Charge [cost] units from inside a thread and yield, with an unknown
+    footprint. Outside any scheduler this is a no-op, so simulated
+    structures remain usable from plain sequential code and unit tests. *)
 
 (** {2 The domain context}
 
@@ -140,12 +132,12 @@ val domain : unit -> domain
 (** The calling domain's context. *)
 
 val step_at : domain -> cell:int -> write:bool -> int -> unit
-(** Allocation- and lookup-free variant of {!step} for the per-operation
-    hot path: the domain context comes from the cell, and the footprint
-    is passed as plain [cell]/[write] arguments instead of an
-    [access option] box. [cell = -1] means unknown footprint. On the
-    calling domain's context it is semantically identical to
-    [step ~access:{cell; write} cost]. *)
+(** {!step} for instrumented cells, allocation- and lookup-free: the
+    domain context comes from the cell, and the call reports the
+    footprint of the operation the thread performs when next resumed,
+    the cell's per-run id and whether the operation mutates it. Two
+    operations commute iff they touch different cells or are both reads;
+    [cell = -1] means unknown footprint. *)
 
 val stall : unit -> unit
 (** Park the calling thread until {!unstall}. *)
@@ -174,34 +166,23 @@ val self : unit -> int
 val inside : unit -> bool
 (** Whether the caller is executing inside a scheduler-run thread. *)
 
-val live_threads : t -> int
-(** Threads spawned and not yet finished (stalled ones included). *)
-
 val thread_count : t -> int
 (** Total threads ever spawned on this scheduler. *)
 
 val state : t -> int -> thread_state
 (** Coarse state of thread [tid]. *)
 
-val runnable_width : t -> int
-(** Size of the current runnable set. *)
-
 val runnable_tid : t -> int -> int
-(** [runnable_tid t i] is the thread id occupying runnable slot [i]
-    ([0 <= i < runnable_width t]). Slot order is deterministic for a
+(** [runnable_tid t i] is the thread id occupying runnable slot [i] of
+    the current runnable set. Slot order is deterministic for a
     deterministic execution, which is what lets explorers record
     schedules as slot indices. *)
 
-val next_access : t -> int -> access option
-(** The footprint of the operation thread [tid] performs when next
-    resumed, as reported by its last {!step}. [None] when unknown
-    (not yet started, or the last yield carried no footprint) — callers
-    must treat unknown as conflicting with everything. *)
-
 val next_cell : t -> int -> int
-(** Unboxed variant of {!next_access}: the cell id of thread [tid]'s next
-    operation, or -1 for unknown. Hot-path explorers use this to compare
-    footprints without allocating option boxes. *)
+(** The cell id of the operation thread [tid] performs when next resumed,
+    as reported by its last {!step_at}; -1 when unknown (not yet started,
+    or the last yield carried no footprint), which callers must treat as
+    conflicting with everything. *)
 
 val next_write : t -> int -> bool
 (** Whether thread [tid]'s next operation writes its cell. Only

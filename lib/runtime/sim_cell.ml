@@ -46,30 +46,6 @@ type op_counts = {
   mutable alloc_cost : int;
 }
 
-let zero_counts () =
-  {
-    reads = 0;
-    writes = 0;
-    plain_writes = 0;
-    cas_ok = 0;
-    cas_fail = 0;
-    faas = 0;
-    swaps = 0;
-    allocs = 0;
-    read_cost = 0;
-    write_cost = 0;
-    plain_write_cost = 0;
-    cas_cost = 0;
-    faa_cost = 0;
-    swap_cost = 0;
-    alloc_cost = 0;
-  }
-
-let reset_counts () =
-  let d = Scheduler.domain () in
-  Array.fill d.op_n 0 n_classes 0;
-  Array.fill d.op_c 0 n_classes 0
-
 (* Snapshot of this domain's counters, for before/after deltas around a
    measured phase (reading plain ints never perturbs the simulation). *)
 let snapshot_counts () =

@@ -80,7 +80,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
      read, the publish, the pointer read and the validating era read;
      later ones charge only the pointer and era reads while the era holds. *)
   let protect t g ~idx ~read ~target:_ =
-    if idx >= t.front.cfg.hp_indices then
+    if idx >= Smr_intf.hp_indices then
       invalid_arg "He.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
     let slot = t.reservations.(g.sid).(idx) and owned = t.owned.(g.sid) in
@@ -96,10 +96,10 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   (* Eras published by live (registered) slots only, ascending slot order:
      every published era read once (charged), then pure interval tests. *)
-  let published_eras (cfg : Smr_intf.config) reg reservations () =
+  let published_eras reg reservations () =
     let eras = ref [] in
     Slot_registry.iter_live reg (fun sid ->
-        for idx = 0 to cfg.hp_indices - 1 do
+        for idx = 0 to Smr_intf.hp_indices - 1 do
           let r = R.Atomic.get reservations.(sid).(idx) in
           if r <> none then eras := r :: !eras
         done);
@@ -112,19 +112,20 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
        ids they have always had. *)
     let reservations =
       Array.init cfg.max_threads (fun _ ->
-          Array.init cfg.hp_indices (fun _ -> R.Atomic.make none))
+          Array.init Smr_intf.hp_indices (fun _ -> R.Atomic.make none))
     in
     let owned =
-      Array.init cfg.max_threads (fun _ -> Array.make cfg.hp_indices none)
+      Array.init cfg.max_threads (fun _ ->
+          Array.make Smr_intf.hp_indices none)
     in
     let clock = F.make_clock cfg in
     (* Publish the era row empty: hp_indices charged stores. *)
     let clear sid =
       let row = reservations.(sid) in
-      for idx = 0 to cfg.hp_indices - 1 do
+      for idx = 0 to Smr_intf.hp_indices - 1 do
         R.Atomic.set row.(idx) none
       done;
-      Array.fill owned.(sid) 0 cfg.hp_indices none
+      Array.fill owned.(sid) 0 Smr_intf.hp_indices none
     in
     let front =
       F.create ~scheme:scheme_name ~trigger:Limbo.Every_batch
@@ -134,7 +135,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
           n.retire_era <- R.Atomic.get clock.era;
           n)
         ~advance:ignore
-        ~snapshot:(published_eras cfg reg reservations)
+        ~snapshot:(published_eras reg reservations)
         cfg reg
     in
     { front; clock; reservations; owned }

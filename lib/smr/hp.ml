@@ -57,7 +57,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       if target v' == n then v' else protect_attempt slot read target
 
   let protect t g ~idx ~read ~target =
-    if idx >= t.front.cfg.hp_indices then
+    if idx >= Smr_intf.hp_indices then
       invalid_arg "Hp.protect: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
     protect_attempt t.hazards.(g.sid).(idx) read target
@@ -65,7 +65,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
   (* The node is already hazarded under another index, so the validating
      re-read is trivially true: publishing it is the whole transfer. *)
   let transfer t g ~idx n =
-    if idx >= t.front.cfg.hp_indices then
+    if idx >= Smr_intf.hp_indices then
       invalid_arg "Hp.transfer: idx out of range";
     if idx >= g.used then g.used <- idx + 1;
     R.Atomic.set t.hazards.(g.sid).(idx) n
@@ -74,10 +74,10 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
      charged reads shrink from max_threads x hp_indices to the number of
      threads actually present. One pass over them (the charged O(mn) reads
      of Table 1), then a pure membership test per limbo node. *)
-  let published_hazards (cfg : Smr_intf.config) reg hazards () =
+  let published_hazards reg hazards () =
     let published = ref [] in
     Slot_registry.iter_live reg (fun sid ->
-        for idx = 0 to cfg.hp_indices - 1 do
+        for idx = 0 to Smr_intf.hp_indices - 1 do
           let h = R.Atomic.get hazards.(sid).(idx) in
           if not (Smr_intf.is_nil h) then published := h :: !published
         done);
@@ -88,14 +88,14 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     let reg = Slot_registry.create ~capacity:cfg.max_threads in
     let hazards =
       Array.init cfg.max_threads (fun _ ->
-          Array.init cfg.hp_indices (fun _ ->
+          Array.init Smr_intf.hp_indices (fun _ ->
               R.Atomic.make (Smr_intf.nil ())))
     in
     (* Publish the hazard row empty: hp_indices charged stores, the
        per-thread registration cost Table 1 implies for HP. *)
     let clear sid =
       let row = hazards.(sid) in
-      for idx = 0 to cfg.hp_indices - 1 do
+      for idx = 0 to Smr_intf.hp_indices - 1 do
         R.Atomic.set row.(idx) (Smr_intf.nil ())
       done
     in
@@ -103,7 +103,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
       F.create ~scheme:scheme_name ~trigger:Limbo.Full_limbo
         ~cell:(fun n -> n.state)
         ~clear ~tag:Fun.id ~advance:ignore
-        ~snapshot:(published_hazards cfg reg hazards)
+        ~snapshot:(published_hazards reg hazards)
         cfg reg
     in
     { front; hazards }

@@ -40,7 +40,6 @@ type config = {
   era_freq : int;  (** allocations between era increments (HE/IBR/Hyaline-S) *)
   ack_threshold : int;  (** Hyaline-S stalled-slot detection threshold *)
   adaptive : bool;  (** Hyaline-S adaptive slot resizing (§4.3) *)
-  hp_indices : int;  (** hazard/era slots per thread (HP/HE) *)
   node_bytes : int;
       (** modelled payload bytes of a default node (structures with
           variable-size nodes pass their own count per allocation) *)
@@ -48,6 +47,9 @@ type config = {
       (** arena resident-bytes ceiling; exceeding it triggers the
           backpressure protocol in {!Lifecycle.on_alloc_hot} (DESIGN.md §9) *)
 }
+
+(** Hazard/era slots per thread (HP/HE). *)
+let hp_indices = 8
 
 let default_config =
   {
@@ -57,7 +59,6 @@ let default_config =
     era_freq = 64;
     ack_threshold = 8192;
     adaptive = false;
-    hp_indices = 8;
     node_bytes = 64;
     budget_bytes = None;
   }

@@ -280,6 +280,62 @@ let test_golden_pct () =
     (Explore.Pct { walks = 3; change_points = 2 })
     "a05dd934f82ac9af60a13d1f48c501dd"
 
+(* Sleep-set pruning must stay sound when faults change which threads
+   can run: for every victim, decision index and fault kind, pruned DFS
+   reaches exactly the final states raw DFS reaches, and the same verdict
+   (a permanent stall can leave only stalled threads, a deadlock). t0 and
+   t1 touch disjoint warm-up cells, then both write a shared cell that t2
+   reads. *)
+let test_sleep_sets_sound_under_faults () =
+  let mk () =
+    let a = Cell.make 0 and b = Cell.make 0 and c = Cell.make 0 in
+    ( [
+        (fun () ->
+          Cell.set a 1;
+          Cell.set c 10);
+        (fun () ->
+          Cell.set b 1;
+          Cell.set c 20);
+        (fun () -> ignore (Cell.get c));
+      ],
+      fun () -> (Cell.get a, Cell.get b, Cell.get c) )
+  in
+  let finals ~faults ~sleep_sets =
+    let seen = Hashtbl.create 64 in
+    let program () =
+      let threads, final = mk () in
+      ( threads,
+        fun () ->
+          Hashtbl.replace seen (final ()) ();
+          true )
+    in
+    let verdict =
+      match Explore.check ~sleep_sets ~limit:1_000_000 ~faults program with
+      | Explore.Exhausted _ -> "exhausted"
+      | Explore.Limit_reached _ -> Alcotest.fail "exploration did not exhaust"
+      | Explore.Violation { message; _ } -> message
+    in
+    let states = Hashtbl.fold (fun k () acc -> k :: acc) seen [] in
+    (verdict, List.sort compare states)
+  in
+  List.iter
+    (fun victim ->
+      for at = 1 to 12 do
+        List.iter
+          (fun (kind, faults) ->
+            Alcotest.(check (pair string (list (triple int int int))))
+              (Printf.sprintf "victim %d, %s at %d" victim kind at)
+              (finals ~faults ~sleep_sets:false)
+              (finals ~faults ~sleep_sets:true))
+          [
+            ("kill", [ Explore.kill_at ~victim ~at () ]);
+            ("stall", [ Explore.stall_at ~victim ~at () ]);
+            ( "stall+resume",
+              [ Explore.stall_at ~victim ~at ~resume_at:(at + 3) () ] );
+          ]
+      done)
+    [ 0; 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "finds-lost-update" `Quick test_finds_lost_update;
@@ -290,6 +346,8 @@ let suite =
     Alcotest.test_case "fault-stall-forever" `Quick test_fault_stall_forever;
     Alcotest.test_case "fault-stall-resume" `Quick test_fault_stall_resume;
     Alcotest.test_case "fault-kill" `Quick test_fault_kill;
+    Alcotest.test_case "sleep-sets-sound-under-faults" `Quick
+      test_sleep_sets_sound_under_faults;
     Alcotest.test_case "replay-deterministic" `Quick
       test_replay_deterministic;
     Alcotest.test_case "golden-dfs" `Quick test_golden_dfs;

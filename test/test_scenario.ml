@@ -253,7 +253,6 @@ let test_run_writes_nested_dir () =
             domains = None;
             cache = None;
             on_progress = None;
-            reps = 1;
           }
           (Scenario.Any Scenario.micro)
       in

@@ -46,7 +46,6 @@ let test_cfg ~threads =
     slots = 4;
     batch_size = 8;
     era_freq = 4;
-    hp_indices = 8;
   }
 
 (* Run [f tid] on [threads] simulated threads to completion; returns the

@@ -132,7 +132,7 @@ cmp "$tmpdir/verify.txt" VERIFY_seed0.txt || {
 # on both runtimes) and the artifact covers every scheme. Its body is
 # wall-clock, so it is not compared with the committed BENCH_native.json.
 echo "==> parity smoke run"
-dune exec bin/figures.exe -- parity --domains 2 --reps 3 \
+dune exec bin/figures.exe -- parity --domains 2 \
   --cache-dir "$tmpdir/cache" -o "$tmpdir" >"$tmpdir/parity.log" || {
   echo "parity smoke: verdict failed or driver crashed"
   cat "$tmpdir/parity.log"; exit 1; }

@@ -187,18 +187,12 @@ let verify_cmd =
   let doc =
     "Adversarial schedule verification: sweep every SMR scheme against \
      every data structure under sleep-set DFS, weighted random walks and \
-     PCT schedules; probe robustness with stall injection; shrink and \
-     dump any counterexample as a replayable trace file."
+     PCT schedules; shrink and dump any counterexample as a replayable \
+     trace file. Exits 1 on any violation."
   in
   let module V = Smr_harness.Verify in
   let module E = Smr_runtime.Explore in
   let module T = Smr_harness.Trace_file in
-  let mode_t =
-    Arg.(
-      value
-      & opt (enum [ ("all", `All); ("dfs", `Dfs); ("random", `Random); ("pct", `Pct) ]) `All
-      & info [ "m"; "mode" ] ~doc:"Exploration mode(s): all, dfs, random, pct.")
-  in
   let seed_t = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed.") in
   let trace_dir_t =
     Arg.(
@@ -209,19 +203,6 @@ let verify_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "replay" ] ~doc:"Replay a trace file and exit.")
-  in
-  let shape_of_trace tr =
-    let geti k d =
-      match T.meta_value tr k with
-      | Some v -> ( match int_of_string_opt v with Some n -> n | None -> d)
-      | None -> d
-    in
-    {
-      V.threads = geti "threads" V.default_shape.V.threads;
-      ops = geti "ops" V.default_shape.V.ops;
-      keys = geti "keys" V.default_shape.V.keys;
-      prog_seed = geti "prog_seed" V.default_shape.V.prog_seed;
-    }
   in
   let replay_trace path =
     let tr = T.load ~path in
@@ -235,7 +216,9 @@ let verify_cmd =
       | None -> fail "trace has no scheme meta"
     in
     let structure =
-      match Option.bind (T.meta_value tr "structure") V.structure_of_name with
+      match
+        Option.bind (T.meta_value tr "structure") Registry.structure_of_name
+      with
       | Some s -> s
       | None -> fail "trace has no valid structure meta"
     in
@@ -247,7 +230,7 @@ let verify_cmd =
     let churn =
       match T.meta_value tr "churn" with Some "true" -> true | _ -> false
     in
-    let program = V.program_for ~churn scheme structure (shape_of_trace tr) in
+    let program = V.program_for ~churn scheme structure in
     (match E.replay_outcome ~faults:tr.T.faults program tr.T.schedule with
     | Ok () ->
         Fmt.epr "trace did NOT reproduce: run succeeded@.";
@@ -262,7 +245,7 @@ let verify_cmd =
   (* Scheme names may contain '/' (Hyaline/llsc) — flatten for filenames
      only; the trace meta keeps the canonical name for replay lookup. *)
   let file_safe = String.map (fun c -> if c = '/' then '-' else c) in
-  let run mode seed trace_dir replay scale =
+  let run seed trace_dir replay scale =
     match replay with
     | Some path -> replay_trace path
     | None ->
@@ -272,19 +255,7 @@ let verify_cmd =
           | Plan.Full ->
               { V.dfs_limit = 2_000; walks = 100; change_points = 3 }
         in
-        let modes =
-          List.filter
-            (fun m ->
-              match (mode, m) with
-              | `All, _ -> true
-              | `Dfs, E.Dfs -> true
-              | `Random, E.Random_walk _ -> true
-              | `Pct, E.Pct _ -> true
-              | _ -> false)
-            (V.modes_of_budgets budgets)
-        in
-        let shape = V.default_shape in
-        let cells = V.run_matrix ~seed ~budgets ~shape ~modes () in
+        let cells = V.run_matrix ~seed ~budgets () in
         let skipped =
           List.length
             (List.filter
@@ -297,13 +268,12 @@ let verify_cmd =
             match c.V.c_verdict with
             | V.Pass _ | V.Skipped _ -> ()
             | V.Fail { schedule; shrunk; message } ->
-                let sname = c.V.c_scheme and structure = c.V.c_structure in
+                let sname = c.V.c_scheme in
+                let ds = Registry.structure_name c.V.c_structure in
                 let m = c.V.c_mode and churn = c.V.c_churn in
                 let file =
                   Printf.sprintf "%s/TRACE_%s_%s_%s%s.txt" trace_dir
-                    (file_safe sname)
-                    (V.structure_name structure)
-                    (V.mode_name m)
+                    (file_safe sname) ds (V.mode_name m)
                     (if churn then "_churn" else "")
                 in
                 T.save ~path:file
@@ -311,14 +281,10 @@ let verify_cmd =
                     T.meta =
                       [
                         ("scheme", sname);
-                        ("structure", V.structure_name structure);
+                        ("structure", ds);
                         ("mode", V.mode_name m);
                         ("churn", string_of_bool churn);
                         ("seed", string_of_int seed);
-                        ("threads", string_of_int shape.V.threads);
-                        ("ops", string_of_int shape.V.ops);
-                        ("keys", string_of_int shape.V.keys);
-                        ("prog_seed", string_of_int shape.V.prog_seed);
                       ];
                     faults = [];
                     schedule = shrunk;
@@ -327,60 +293,16 @@ let verify_cmd =
                 Fmt.pr
                   "FAIL %-12s %-8s %-6s %-6s: %s (schedule %d decisions, \
                    shrunk to %d) -> %s@."
-                  sname
-                  (V.structure_name structure)
-                  (V.mode_name m)
+                  sname ds (V.mode_name m)
                   (if churn then "churn" else "static")
                   message (List.length schedule) (List.length shrunk) file)
           cells;
         Fmt.pr "conformance: %d cells (%d skipped), %d violation(s)@."
           (List.length cells) skipped failed;
-        (* Robustness probes: each scheme's peak unreclaimed under a
-           stall-injected reader, judged against its own robust flag. *)
-        let writers = 2 in
-        let bound = V.robust_bound ~writers in
-        let probes = V.probe_all ~seed:(seed + 3) ~writers () in
-        let mismatches = ref 0 in
-        List.iter
-          (fun (r : V.robustness) ->
-            let ok = if r.V.r_robust then r.V.r_peak <= bound else r.V.r_peak > bound in
-            if not ok then incr mismatches;
-            Fmt.pr "robustness %-12s robust=%-5b peak=%-6d retired=%-6d %s@."
-              r.V.r_scheme r.V.r_robust r.V.r_peak r.V.r_retired
-              (if ok then "ok" else "MISMATCH"))
-          probes;
-        Fmt.pr "robustness: %d scheme(s), bound %d, %d mismatch(es)@."
-          (List.length probes) bound !mismatches;
-        (* Wait-freedom probes (Crystalline): bounded memory under a
-           stalled AND a killed reader, bounded per-op reader steps
-           under the starvation schedule — Crystalline-W must hold both
-           where the era-loop schemes and Epoch each lose one. *)
-        let wf = V.waitfree_probe ~seed:(seed + 3) ~writers () in
-        List.iter
-          (fun (s : V.steps) ->
-            Fmt.pr "waitfree steps %-14s bounded=%-5b %s@." s.V.s_scheme
-              s.V.s_bounded
-              (String.concat " "
-                 (List.map
-                    (fun (a, c) -> Printf.sprintf "%d:%d" a c)
-                    s.V.s_costs)))
-          wf.V.wf_steps;
-        let peak rows name =
-          (List.find (fun r -> r.V.r_scheme = name) rows).V.r_peak
-        in
-        List.iter
-          (fun name ->
-            Fmt.pr "waitfree memory %-14s stalled=%-6d killed=%-6d@." name
-              (peak wf.V.wf_stall name) (peak wf.V.wf_kill name))
-          V.wf_mem_schemes;
-        Fmt.pr "waitfree: %s (bound %d)@."
-          (if wf.V.wf_ok then "wait-free ok" else "MISMATCH")
-          wf.V.wf_bound;
-        if failed > 0 || !mismatches > 0 || not wf.V.wf_ok then exit 1
+        if failed > 0 then exit 1
   in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(
-      const run $ mode_t $ seed_t $ trace_dir_t $ replay_t $ scale_term)
+    Term.(const run $ seed_t $ trace_dir_t $ replay_t $ scale_term)
 
 (* One subcommand per verdict scenario: print the tables and the verdict,
    optionally write and re-read BENCH_<artifact>.json, and exit 1 unless

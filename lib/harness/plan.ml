@@ -164,17 +164,17 @@ let grid ~name ?(arch = Registry.X86) ?(scale = Quick)
   in
   { name; cells }
 
-(* The Fig. 10a-style stalled-reader adversary: a write-heavy hashmap
-   with a couple of permanently stalled readers, sampled on a fixed
-   timeline, over [schemes] after Epoch and a no-stall Epoch series that
-   anchors the healthy baseline. Non-robust EBR cannot advance its epoch
-   past a stalled reader, so its resident bytes grow for the whole run;
-   robust schemes stay bounded. Small batches keep reclamation
-   granularity fine enough to see the contrast, and a small, hot working
-   set churns pre-stall nodes out within the first fraction of the run,
-   so robust schemes visibly plateau while Epoch keeps leaking until the
-   end. *)
-let stalled_reader_sweep ~name ~scale schemes =
+(* The robustness sweep: the Fig. 10a stalled-reader adversary. A
+   write-heavy hashmap with two permanently stalled readers, sampled on a
+   fixed timeline, over Epoch, a no-stall Epoch series that anchors the
+   healthy baseline, the baselines and the Hyaline lineage down to both
+   Crystalline flavours. Non-robust EBR cannot advance its epoch past a
+   stalled reader, so its resident bytes grow for the whole run; robust
+   schemes stay bounded. Small batches keep reclamation granularity fine
+   enough to see the contrast, and a small, hot working set churns
+   pre-stall nodes out within the first fraction of the run, so robust
+   schemes visibly plateau while Epoch keeps leaking until the end. *)
+let robustness ?(scale = Quick) () =
   let budget = match scale with Quick -> 400_000 | Full -> 1_600_000 in
   let sample_every = budget / 40 in
   let cfg =
@@ -192,25 +192,22 @@ let stalled_reader_sweep ~name ~scale schemes =
       ~threads:8 ()
   in
   {
-    name;
+    name = "robustness";
     cells =
       mk "Epoch"
       :: mk ~label:"Epoch-nostall" ~stalled:0 "Epoch"
-      :: List.map (fun s -> mk s) schemes;
+      :: List.map
+           (fun s -> mk s)
+           [
+             "IBR";
+             "HP";
+             "Hyaline";
+             "Hyaline-S";
+             "Hyaline-1S";
+             "Crystalline-L";
+             "Crystalline-W";
+           ];
   }
-
-let footprint ?(scale = Quick) () =
-  stalled_reader_sweep ~name:"footprint" ~scale
-    [ "IBR"; "HP"; "Hyaline"; "Hyaline-S" ]
-
-(* The Crystalline wait-freedom sweep: the {!footprint} adversary over the
-   Hyaline lineage, where Hyaline-1S and both Crystalline flavours
-   plateau. The per-op step-count half of the wait-freedom verdict does
-   not fit the executor's cell model (it needs a custom picker) and lives
-   in {!Verify.steps_probe}, which the waitfree figure runs uncached. *)
-let waitfree ?(scale = Quick) () =
-  stalled_reader_sweep ~name:"waitfree" ~scale
-    [ "Hyaline"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ]
 
 (* The thread-churn sweep (ROADMAP items 1/5): a hashmap under a steady
    stream of short-lived session threads that register, run a small burst
@@ -373,24 +370,3 @@ let cell_key (c : cell) : string =
   | Some sv -> "|service=" ^ Traffic.service_key sv
 
 let cell_hash c = Digest.to_hex (Digest.string (cell_key c))
-
-(* -- conformance axes ----------------------------------------------------- *)
-
-type axes = {
-  ax_schemes : string list;
-  ax_structures : Registry.structure list;
-}
-
-let conformance ?schemes ?structures () =
-  {
-    ax_schemes =
-      (match schemes with Some s -> s | None -> Registry.every_scheme_name);
-    ax_structures =
-      (match structures with Some s -> s | None -> Registry.structures);
-  }
-
-let pairs axes =
-  List.concat_map
-    (fun scheme ->
-      List.map (fun structure -> (scheme, structure)) axes.ax_structures)
-    axes.ax_schemes

@@ -100,19 +100,14 @@ val grid :
     [structures = Registry.paper_structures]. Pairs excluded by
     {!Registry.supported} are omitted. *)
 
-val footprint : ?scale:scale -> unit -> t
-(** Unreclaimed-memory-vs-time sweep (Fig. 10a flavour): a write-heavy
-    hashmap with 2 stalled readers across Epoch / IBR / HP / Hyaline /
-    Hyaline-S, plus a no-stall Epoch baseline, each cell sampling a
-    resident-bytes timeline every [budget/40] cost units. *)
-
-val waitfree : ?scale:scale -> unit -> t
-(** The Crystalline wait-freedom sweep: the {!footprint} adversary (hash
-    map, 2 permanently stalled readers) over Epoch / Hyaline /
-    Hyaline-1S / Crystalline-L / Crystalline-W plus a no-stall Epoch
-    baseline — the memory half of the [figures.exe waitfree] verdict;
-    the per-op step-count half runs uncached via
-    [Verify.steps_probe]. *)
+val robustness : ?scale:scale -> unit -> t
+(** The stalled-reader sweep (Fig. 10a): a write-heavy hashmap with 2
+    stalled readers across Epoch / IBR / HP / Hyaline / Hyaline-S /
+    Hyaline-1S / Crystalline-L / Crystalline-W, plus a no-stall Epoch
+    baseline, each cell sampling a resident-bytes timeline every
+    [budget/40] cost units — the memory half of
+    [figures.exe robustness]; the fault and step probes run uncached in
+    {!Verify}. *)
 
 val service_sweep : ?scale:scale -> unit -> t
 (** The session-cache service sweep (ROADMAP item 1): an open-loop
@@ -140,18 +135,3 @@ val cell_key : cell -> string
 
 val cell_hash : cell -> string
 (** Hex MD5 of {!cell_key} — the cache key. *)
-
-(* -- conformance axes --------------------------------------------------- *)
-
-type axes = {
-  ax_schemes : string list;
-  ax_structures : Registry.structure list;
-}
-(** The scheme × structure extent of a conformance sweep ({!Verify}),
-    expressed through the same registry names as workload plans. *)
-
-val conformance :
-  ?schemes:string list -> ?structures:Registry.structure list -> unit -> axes
-(** Defaults: all 13 canonical schemes × all 7 structures. *)
-
-val pairs : axes -> (string * Registry.structure) list

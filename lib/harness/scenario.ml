@@ -1,14 +1,15 @@
 (** The verdict sweeps. Each one machine-checks a claim of the paper:
-    robustness under stalled threads ({!footprint}, {!service} and
-    {!waitfree}, the last extending it to Crystalline), transparency under
-    thread churn ({!churn}, §2.4), and that the native runtime orders the
-    schemes as the simulator does ({!parity}). {!micro} is the per-scheme
-    record of why a scheme wins: every bench scheme's full result (op-class
-    costs, latency, lifecycle, series, allocator counters) on one grid.
+    robustness under stalled and killed threads ({!robustness}, with
+    Crystalline's bounded reader steps, and {!service}), transparency
+    under thread churn ({!churn}, §2.4), and that the native runtime
+    orders the schemes as the simulator does ({!parity}). {!micro} is the
+    per-scheme record of why a scheme wins: every bench scheme's full
+    result (op-class costs, latency, lifecycle, series, allocator
+    counters) on one grid.
 
     A scenario runs its sweep ([plan]), judges the rows with a pure
     function that returns named checks ([judge]), prints its tables
-    ([render]) and describes its artifact ([body]). {!run} drives all six
+    ([render]) and describes its artifact ([body]). {!run} drives all five
     the same way: it prints the tables and the verdict, writes the
     envelope [{"schema_version", "kind", "verdict", "body"}] to
     [BENCH_<artifact>.json], re-reads it, and returns the re-read
@@ -108,17 +109,6 @@ let print_timeline ppf ~budget series =
       series;
     Fmt.pf ppf "@."
   done
-
-(* The robustness contrast footprint and waitfree share: stalled Epoch's
-   final resident bytes at least double those of the robust scheme. *)
-let contrast name ~robust residents =
-  match (List.assoc_opt "Epoch" residents, List.assoc_opt robust residents) with
-  | Some e, Some r ->
-      ( name,
-        r > 0 && e >= 2 * r,
-        Printf.sprintf "stalled Epoch resident %dB vs %s %dB (need >= 2x)" e
-          robust r )
-  | _ -> (name, false, "missing the Epoch or " ^ robust ^ " series")
 
 (* A sweep over timeline-sampled cells: the surviving rows and the run
    length their timelines cover. *)
@@ -225,81 +215,6 @@ let micro =
              runs));
     render = render_micro;
     body = micro_body;
-  }
-
-(* -- footprint: resident bytes over simulated time ----------------------- *)
-
-(* The unreclaimed-memory-vs-time view the paper discusses around Fig. 10a,
-   rendered in allocator bytes: a write-heavy hash map with two permanently
-   stalled readers. Epoch's horizon cannot pass the stalled guards, so its
-   resident footprint grows for the whole run; robust schemes stay
-   bounded. *)
-let judge_footprint residents =
-  Verdict.of_checks [ contrast "robust_contrast" ~robust:"Hyaline-S" residents ]
-
-(* Final allocator counters, in table-column and body-field order. *)
-let counter_names =
-  [ "resident"; "hwm"; "slabs"; "reuse"; "fresh"; "pressure"; "oom" ]
-
-let counters (r : Workload.result) =
-  let m = r.Workload.metrics.Smr.Metrics.mem in
-  Mem.Mem_intf.
-    [
-      m.bytes_resident;
-      m.bytes_hwm;
-      m.slabs_live;
-      m.reuse_hits;
-      m.fresh_allocs;
-      m.pressure_events;
-      m.oom_failures;
-    ]
-
-let render_footprint ppf sw =
-  Fmt.pf ppf
-    "# Footprint — resident allocator bytes vs simulated time (hash map, 2 \
-     stalled readers)@.@.";
-  print_timeline ppf ~budget:sw.budget
-    (List.map (fun (l, r) -> (l, r.Workload.timeline)) sw.rows);
-  Fmt.pf ppf "@.## allocator counters (final)@.%-14s" "series";
-  List.iter (Fmt.pf ppf " %10s") counter_names;
-  List.iter
-    (fun (l, r) ->
-      Fmt.pf ppf "@.%-14s" l;
-      List.iter (Fmt.pf ppf " %10d") (counters r))
-    sw.rows;
-  Fmt.pf ppf "@."
-
-let footprint_body sw =
-  Json.Obj
-    [
-      ("budget", Json.Int sw.budget);
-      ( "series",
-        Json.List
-          (List.map
-             (fun (l, (r : Workload.result)) ->
-               Json.Obj
-                 ((("label", Json.String l)
-                  :: List.map2
-                       (fun n v -> (n, Json.Int v))
-                       counter_names (counters r))
-                 @ [ ( "timeline",
-                       Json.List
-                         (List.map Executor.sample_to_json
-                            r.Workload.timeline) ) ]))
-             sw.rows) );
-    ]
-
-let footprint =
-  {
-    kind = "footprint";
-    artifact = "footprint";
-    doc = "Resident allocator bytes vs simulated time under stalled readers.";
-    plan =
-      (fun ctx ->
-        run_sweep ~kind:"footprint" (Plan.footprint ~scale:ctx.scale ()) ctx);
-    judge = (fun sw -> judge_footprint (residents sw));
-    render = render_footprint;
-    body = footprint_body;
   }
 
 (* -- churn: thread join/leave cost and orphan accounting ----------------- *)
@@ -681,71 +596,193 @@ let service =
     body = service_body;
   }
 
-(* -- waitfree: the Crystalline memory + steps verdict -------------------- *)
+(* -- robustness: a stalled or killed reader cannot block reclamation ------ *)
 
-(* Two halves. Memory: the {!Plan.waitfree} executor sweep (cached) — the
-   footprint adversary over the Hyaline lineage; Crystalline-W must
-   plateau while stalled Epoch diverges. Steps: the uncached
-   {!Verify.waitfree_probe} — per-op reader cost under a starvation
-   schedule plus the stall/kill peak-unreclaimed probes; Crystalline-W
-   alone must be bounded on both axes. Both halves are deterministic
-   (fixed seeds, custom picker), so the artifact is reproducible. *)
-type waitfree = { sweep : sweep; probe : Verify.waitfree }
+(* The paper's robustness claim (Table 1's "robust" column, Fig. 10a) and
+   Crystalline's bounded reader steps, over one adversary. Memory: the
+   {!Plan.robustness} executor sweep (cached), resident bytes over
+   simulated time with two stalled readers. Faults: {!Verify.probe_all}
+   under a stalled and a killed reader for every reclaiming scheme, each
+   peak judged against the scheme's own [robust] flag. Steps:
+   {!Verify.steps_probe}'s per-op reader cost under a starvation schedule.
+   The probes are deterministic (fixed seeds, custom picker) and run
+   uncached. *)
+type probes = {
+  bound : int;  (** the robust peak-unreclaimed bound *)
+  stall : Verify.robustness list;
+  kill : Verify.robustness list;
+  steps : Verify.steps list;
+}
 
-let judge_waitfree residents (wf : Verify.waitfree) =
-  let flat =
-    List.exists
-      (fun s -> s.Verify.s_scheme = "Crystalline-W" && s.Verify.s_bounded)
-      wf.Verify.wf_steps
+type robustness = { sweep : sweep; probes : probes }
+
+(* Flat-step schemes and era-loop schemes whose reads grow with the
+   adversary's allocation budget. *)
+let flat_steps = [ "Epoch"; "Crystalline-W" ]
+let growing_steps = [ "Hyaline-1S"; "Crystalline-L" ]
+
+let probe_robustness () =
+  let steps_of name =
+    match Verify.scheme_of_name name with
+    | Some s -> Verify.steps_probe ~name s
+    | None -> invalid_arg ("Scenario.robustness: unknown scheme " ^ name)
+  in
+  {
+    bound = Verify.robust_bound ~writers:2;
+    stall = Verify.probe_all ~fault:`Stall ();
+    kill = Verify.probe_all ~fault:`Kill ();
+    steps =
+      List.map steps_of
+        [ "Epoch"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ];
+  }
+
+(* [contrast]: stalled Epoch's final resident bytes at least double those
+   of every other series whose scheme claims robustness. [fault_peaks]:
+   each probed scheme's stall and kill peaks sit on its own side of the
+   bound — within it when robust, past twice it when not. [steps]: Epoch
+   and Crystalline-W read in flat cost, the era-loop schemes do not.
+   Input: final resident bytes per sweep series, and the probes. *)
+let judge_robustness residents p =
+  let robust l =
+    List.exists (fun r -> r.Verify.r_scheme = l && r.Verify.r_robust) p.stall
+  in
+  let others =
+    List.filter (fun (l, _) -> l <> "Epoch" && robust l) residents
+  in
+  let epoch = Option.value (List.assoc_opt "Epoch" residents) ~default:0 in
+  let misplaced =
+    List.concat_map
+      (fun (fault, rows) ->
+        List.filter_map
+          (fun (r : Verify.robustness) ->
+            if
+              if r.Verify.r_robust then r.Verify.r_peak <= p.bound
+              else r.Verify.r_peak > 2 * p.bound
+            then None
+            else
+              Some
+                (Printf.sprintf "%s %s %d (robust=%b)" r.Verify.r_scheme fault
+                   r.Verify.r_peak r.Verify.r_robust))
+          rows)
+      [ ("stalled", p.stall); ("killed", p.kill) ]
+  in
+  let scheme_names = List.map (fun r -> r.Verify.r_scheme) in
+  let bounded n =
+    List.find_map
+      (fun s ->
+        if s.Verify.s_scheme = n then Some s.Verify.s_bounded else None)
+      p.steps
+  in
+  let wrong_steps =
+    List.filter (fun n -> bounded n <> Some true) flat_steps
+    @ List.filter (fun n -> bounded n <> Some false) growing_steps
   in
   Verdict.of_checks
     [
-      contrast "plateau" ~robust:"Crystalline-W" residents;
-      ( "probes",
-        wf.Verify.wf_ok,
+      ( "contrast",
+        others <> []
+        && List.for_all (fun (_, r) -> r > 0 && epoch >= 2 * r) others,
+        Printf.sprintf "stalled Epoch resident %dB vs robust %s (need >= 2x)"
+          epoch
+          (String.concat ", "
+             (List.map (fun (l, r) -> Printf.sprintf "%s %dB" l r) others)) );
+      ( "fault_peaks",
+        p.stall <> [] && misplaced = []
+        && scheme_names p.stall = scheme_names p.kill,
         Printf.sprintf
-          "Crystalline-W steps flat=%b; stall/kill peaks against bound %d as \
-           expected"
-          flat wf.Verify.wf_bound );
+          "%d schemes stalled, %d killed: robust <= %d, others > %d; \
+           misplaced: [%s]"
+          (List.length p.stall) (List.length p.kill) p.bound (2 * p.bound)
+          (String.concat ", " misplaced) );
+      ( "steps",
+        wrong_steps = [],
+        Printf.sprintf "flat: %s; growing: %s; wrong: [%s]"
+          (String.concat ", " flat_steps)
+          (String.concat ", " growing_steps)
+          (String.concat ", " wrong_steps) );
     ]
 
-let peak rows name =
-  (List.find (fun r -> r.Verify.r_scheme = name) rows).Verify.r_peak
+(* Final allocator counters, in table-column and body-field order. *)
+let counter_names =
+  [ "resident"; "hwm"; "slabs"; "reuse"; "fresh"; "pressure"; "oom" ]
 
-let render_waitfree ppf { sweep = sw; probe = wf } =
+let counters (r : Workload.result) =
+  let m = r.Workload.metrics.Smr.Metrics.mem in
+  Mem.Mem_intf.
+    [
+      m.bytes_resident;
+      m.bytes_hwm;
+      m.slabs_live;
+      m.reuse_hits;
+      m.fresh_allocs;
+      m.pressure_events;
+      m.oom_failures;
+    ]
+
+(* Each stalled row beside its scheme's killed peak (0 when missing). *)
+let fault_rows p =
+  List.map
+    (fun (s : Verify.robustness) ->
+      let k =
+        List.find_opt (fun k -> k.Verify.r_scheme = s.Verify.r_scheme) p.kill
+      in
+      (s, Option.fold ~none:0 ~some:(fun k -> k.Verify.r_peak) k))
+    p.stall
+
+let render_robustness ppf { sweep = sw; probes = p } =
   Fmt.pf ppf
-    "# Wait-freedom — resident allocator bytes vs simulated time (hash \
-     map, 2 stalled readers)@.@.";
+    "# Robustness — resident allocator bytes vs simulated time (hash map, 2 \
+     stalled readers)@.@.";
   print_timeline ppf ~budget:sw.budget
     (List.map (fun (l, r) -> (l, r.Workload.timeline)) sw.rows);
-  Fmt.pf ppf "@.## reader cost units per protect (adversary allocs on top)@.";
+  Fmt.pf ppf "@.## allocator counters (final)@.%-14s" "series";
+  List.iter (Fmt.pf ppf " %10s") counter_names;
+  List.iter
+    (fun (l, r) ->
+      Fmt.pf ppf "@.%-14s" l;
+      List.iter (Fmt.pf ppf " %10d") (counters r))
+    sw.rows;
+  Fmt.pf ppf "@.@.## reader cost units per protect (adversary allocs on top)@.";
   Fmt.pf ppf "%-14s %8s" "scheme" "bounded";
   List.iter
     (fun (a, _) -> Fmt.pf ppf " %10d" a)
-    (match wf.Verify.wf_steps with s :: _ -> s.Verify.s_costs | [] -> []);
+    (match p.steps with s :: _ -> s.Verify.s_costs | [] -> []);
   Fmt.pf ppf "@.";
   List.iter
     (fun (s : Verify.steps) ->
       Fmt.pf ppf "%-14s %8b" s.Verify.s_scheme s.Verify.s_bounded;
       List.iter (fun (_, c) -> Fmt.pf ppf " %10d" c) s.Verify.s_costs;
       Fmt.pf ppf "@.")
-    wf.Verify.wf_steps;
+    p.steps;
   Fmt.pf ppf "@.## peak unreclaimed under a faulted reader (bound %d)@."
-    wf.Verify.wf_bound;
-  Fmt.pf ppf "%-14s %10s %10s@." "scheme" "stalled" "killed";
+    p.bound;
+  Fmt.pf ppf "%-14s %6s %10s %10s %10s@." "scheme" "robust" "stalled" "killed"
+    "retired";
   List.iter
-    (fun name ->
-      Fmt.pf ppf "%-14s %10d %10d@." name
-        (peak wf.Verify.wf_stall name)
-        (peak wf.Verify.wf_kill name))
-    Verify.wf_mem_schemes
+    (fun ((s : Verify.robustness), killed) ->
+      Fmt.pf ppf "%-14s %6b %10d %10d %10d@." s.Verify.r_scheme
+        s.Verify.r_robust s.Verify.r_peak killed s.Verify.r_retired)
+    (fault_rows p)
 
-let waitfree_body { sweep = sw; probe = wf } =
+let robustness_body { sweep = sw; probes = p } =
   Json.Obj
     [
-      ("bound", Json.Int wf.Verify.wf_bound);
-      ( "resident",
-        Json.Obj (List.map (fun (l, b) -> (l, Json.Int b)) (residents sw)) );
+      ("budget", Json.Int sw.budget);
+      ( "series",
+        Json.List
+          (List.map
+             (fun (l, (r : Workload.result)) ->
+               Json.Obj
+                 ((("label", Json.String l)
+                  :: List.map2
+                       (fun n v -> (n, Json.Int v))
+                       counter_names (counters r))
+                 @ [ ( "timeline",
+                       Json.List
+                         (List.map Executor.sample_to_json
+                            r.Workload.timeline) ) ]))
+             sw.rows) );
+      ("bound", Json.Int p.bound);
       ( "steps",
         Json.List
           (List.map
@@ -762,39 +799,42 @@ let waitfree_body { sweep = sw; probe = wf } =
                               [ ("allocs", Json.Int a); ("cost", Json.Int c) ])
                           s.Verify.s_costs) );
                  ])
-             wf.Verify.wf_steps) );
+             p.steps) );
       ( "faulted_peaks",
         Json.List
           (List.map
-             (fun name ->
+             (fun ((s : Verify.robustness), killed) ->
                Json.Obj
                  [
-                   ("scheme", Json.String name);
-                   ("stalled", Json.Int (peak wf.Verify.wf_stall name));
-                   ("killed", Json.Int (peak wf.Verify.wf_kill name));
+                   ("scheme", Json.String s.Verify.r_scheme);
+                   ("robust", Json.Bool s.Verify.r_robust);
+                   ("stalled", Json.Int s.Verify.r_peak);
+                   ("killed", Json.Int killed);
+                   ("retired", Json.Int s.Verify.r_retired);
                  ])
-             Verify.wf_mem_schemes) );
+             (fault_rows p)) );
     ]
 
-let waitfree =
+let robustness =
   {
-    kind = "waitfree";
-    artifact = "waitfree";
+    kind = "robustness";
+    artifact = "robustness";
     doc =
-      "The Crystalline wait-freedom sweep: resident-bytes trajectories \
-       under 2 permanently stalled readers across the Hyaline lineage, \
-       plus the uncached probes — per-op reader step counts under a \
-       starvation schedule and peak unreclaimed under stall/kill \
-       injection.";
+      "Robustness under a stalled or killed reader: resident-bytes \
+       trajectories under 2 permanently stalled readers across the \
+       baselines and the Hyaline lineage, plus the uncached probes — peak \
+       unreclaimed under stall and kill injection for every reclaiming \
+       scheme, judged against its own robust flag, and per-op reader step \
+       counts under a starvation schedule.";
     plan =
       (fun ctx ->
         let sweep, stats =
-          run_sweep ~kind:"waitfree" (Plan.waitfree ~scale:ctx.scale ()) ctx
+          run_sweep ~kind:"robustness" (Plan.robustness ~scale:ctx.scale ()) ctx
         in
-        ({ sweep; probe = Verify.waitfree_probe () }, stats));
-    judge = (fun w -> judge_waitfree (residents w.sweep) w.probe);
-    render = render_waitfree;
-    body = waitfree_body;
+        ({ sweep; probes = probe_robustness () }, stats));
+    judge = (fun d -> judge_robustness (residents d.sweep) d.probes);
+    render = render_robustness;
+    body = robustness_body;
   }
 
 (* -- parity: sim-vs-native ordering -------------------------------------- *)
@@ -820,7 +860,7 @@ let parity =
 
 let all =
   [
-    Any micro; Any footprint; Any churn; Any service; Any waitfree; Any parity;
+    Any micro; Any robustness; Any churn; Any service; Any parity;
   ]
 
 (* -- the driver ---------------------------------------------------------- *)

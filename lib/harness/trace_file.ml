@@ -2,7 +2,7 @@
 
     A trace file pins down everything needed to reproduce a violation
     found by {!Smr_runtime.Explore}: free-form metadata (scheme,
-    structure, program shape...), the fault plan, the schedule (one
+    structure, mode...), the fault plan, the schedule (one
     runnable-slot index per scheduling decision), and the failure
     message the schedule must reproduce. The format is line-based and
     diff-friendly:

@@ -1,8 +1,9 @@
 (** Conformance verification: machine-check every registered SMR scheme
     against every data structure under the three {!Smr_runtime.Explore}
     modes (sleep-set DFS, weighted random walks, PCT), plus seeded
-    stall-injection probes that test the paper's robustness claims
-    against each scheme's own [robust] flag.
+    stall- and kill-injection probes and a reader-steps probe that the
+    [robustness] scenario judges against each scheme's own [robust]
+    flag.
 
     The oracle stack per execution: the lifecycle auditor (use-after-free
     / double-free raise), deadlock detection, and a quiescence
@@ -27,13 +28,7 @@ module type CONC_SET = Smr_ds.Ds_intf.CONC_SET
    Registry's too: there is no private list here any more. *)
 let schemes : (string * (module SMR)) list = Registry.Sim.every_scheme
 
-type structure = Registry.structure
-
-let structures = Registry.structures
-let structure_name = Registry.structure_name
-let structure_of_name = Registry.structure_of_name
 let scheme_of_name n = List.assoc_opt n schemes
-let supported = Registry.supported
 
 (* Aggressive-reclamation config: tiny batches and eras so every few
    operations cross a seal/scan boundary — the reclamation machinery is
@@ -48,11 +43,12 @@ let tiny_cfg ~threads =
     ack_threshold = 4;
   }
 
-(* Shape of one conformance program, recorded in trace files so a
-   violation can be reconstructed and replayed from the file alone. *)
-type shape = { threads : int; ops : int; keys : int; prog_seed : int }
-
-let default_shape = { threads = 2; ops = 2; keys = 2; prog_seed = 7 }
+(* Shape of every conformance program: [threads] threads of [ops]
+   operations each over [keys] keys, drawn from [prog_seed]. *)
+let threads = 2
+let ops = 2
+let keys = 2
+let prog_seed = 7
 
 let reclaiming (module S : SMR) = S.scheme_name <> "Leaky"
 
@@ -61,63 +57,52 @@ let reclaiming (module S : SMR) = S.scheme_name <> "Leaky"
    enqueue, remove = pop / dequeue, contains = peek), so their retire
    paths and protected traversals are exercised by the same generator.
    The queue's dummy node is always live, so quiescence leaves
-   retired == freed there too, same as the sets. *)
-let set_program (module D : CONC_SET) ~reclaiming (shape : shape) :
-    Explore.program =
- fun () ->
-  let set = D.create ~buckets:2 (tiny_cfg ~threads:shape.threads) in
-  let body tid () =
-    let rng = Random.State.make [| shape.prog_seed; tid |] in
-    for _ = 1 to shape.ops do
-      let k = Random.State.int rng shape.keys in
-      match Random.State.int rng 3 with
-      | 0 -> ignore (D.insert set k)
-      | 1 -> ignore (D.remove set k)
-      | _ -> ignore (D.contains set k)
-    done
-  in
-  ( List.init shape.threads body,
-    fun () ->
-      D.flush set;
-      (not reclaiming) || Smr.Smr_intf.unreclaimed (D.stats set) = 0 )
+   retired == freed there too, same as the sets.
 
-(* Churn-mode program: every thread runs two register/deregister
-   sessions with its operations in between, so exploration interleaves
-   joins, leaves, orphan handoffs and slot recycling with the structure
-   operations themselves. The post-condition additionally requires the
-   orphan list to be fully adopted: a departing thread's limbo must never
-   be stranded. *)
-let churn_program (module D : CONC_SET) ~reclaiming (shape : shape) :
-    Explore.program =
- fun () ->
-  let set = D.create ~buckets:2 (tiny_cfg ~threads:(2 * shape.threads)) in
-  let body tid () =
-    let rng = Random.State.make [| shape.prog_seed; tid |] in
-    for _session = 1 to 2 do
-      let s = D.register set in
-      for _ = 1 to shape.ops do
-        let k = Random.State.int rng shape.keys in
+   With [churn], every thread runs two register/deregister sessions with
+   its operations in between, so exploration interleaves joins, leaves,
+   orphan handoffs and slot recycling with the structure operations
+   themselves. The post-condition then additionally requires the orphan
+   list to be fully adopted: a departing thread's limbo must never be
+   stranded. *)
+let program_for ?(churn = false) (module S : SMR) structure : Explore.program
+    =
+  let module D = (val Registry.Sim.make_set structure (module S)) in
+  let reclaiming = reclaiming (module S) in
+  fun () ->
+    let set =
+      D.create ~buckets:2
+        (tiny_cfg ~threads:(if churn then 2 * threads else threads))
+    in
+    let run_ops rng =
+      for _ = 1 to ops do
+        let k = Random.State.int rng keys in
         match Random.State.int rng 3 with
         | 0 -> ignore (D.insert set k)
         | 1 -> ignore (D.remove set k)
         | _ -> ignore (D.contains set k)
-      done;
-      D.deregister set s
-    done
-  in
-  ( List.init shape.threads body,
-    fun () ->
-      D.flush set;
-      let m = D.metrics set in
-      let v n = Option.value ~default:0 (Smr.Metrics.series_value m n) in
-      v "orphaned" = v "adopted"
-      && ((not reclaiming) || Smr.Smr_intf.unreclaimed (D.stats set) = 0) )
-
-let program_for ?(churn = false) (module S : SMR) structure shape :
-    Explore.program =
-  let module D = (val Registry.Sim.make_set structure (module S)) in
-  let mk = if churn then churn_program else set_program in
-  mk (module D) ~reclaiming:(reclaiming (module S)) shape
+      done
+    in
+    let body tid () =
+      let rng = Random.State.make [| prog_seed; tid |] in
+      if churn then
+        for _session = 1 to 2 do
+          let s = D.register set in
+          run_ops rng;
+          D.deregister set s
+        done
+      else run_ops rng
+    in
+    ( List.init threads body,
+      fun () ->
+        D.flush set;
+        let adopted () =
+          let m = D.metrics set in
+          let v n = Option.value ~default:0 (Smr.Metrics.series_value m n) in
+          v "orphaned" = v "adopted"
+        in
+        ((not churn) || adopted ())
+        && ((not reclaiming) || Smr.Smr_intf.unreclaimed (D.stats set) = 0) )
 
 (* ------------------------------------------------------------------ *)
 (* The conformance matrix                                              *)
@@ -130,7 +115,7 @@ type verdict =
 
 type cell = {
   c_scheme : string;
-  c_structure : structure;
+  c_structure : Registry.structure;
   c_mode : Explore.mode;
   c_churn : bool;  (** threads join/leave mid-program (churn column) *)
   c_verdict : verdict;
@@ -152,13 +137,13 @@ let modes_of_budgets b =
     Explore.Pct { walks = b.walks; change_points = b.change_points };
   ]
 
-let run_cell ?(seed = 0) ?(budgets = smoke_budgets) ?(shape = default_shape)
-    ?(churn = false) (scheme_name, (module S : SMR)) structure mode : cell =
+let run_cell ~seed ~budgets ~churn (scheme_name, (module S : SMR)) structure
+    mode : cell =
   let verdict =
-    if not (supported structure scheme_name) then
+    if not (Registry.supported structure scheme_name) then
       Skipped "hazard-pointer schemes cannot protect a snapshot traversal"
     else begin
-      let program = program_for ~churn (module S) structure shape in
+      let program = program_for ~churn (module S) structure in
       match
         Explore.explore ~mode ~seed ~limit:budgets.dfs_limit program
       with
@@ -176,23 +161,21 @@ let run_cell ?(seed = 0) ?(budgets = smoke_budgets) ?(shape = default_shape)
     c_verdict = verdict;
   }
 
-let run_matrix ?(seed = 0) ?(budgets = smoke_budgets)
-    ?(shape = default_shape) ?(axes = Plan.conformance ())
-    ?(modes = modes_of_budgets budgets) () : cell list =
+(* Every scheme x every structure x every mode of [budgets] x
+   {static, churn}, scheme-major. *)
+let run_matrix ?(seed = 0) ?(budgets = smoke_budgets) () : cell list =
   List.concat_map
-    (fun (scheme_name, structure) ->
-      match scheme_of_name scheme_name with
-      | None -> invalid_arg ("Verify.run_matrix: unknown scheme " ^ scheme_name)
-      | Some s ->
+    (fun s ->
+      List.concat_map
+        (fun structure ->
           List.concat_map
             (fun mode ->
               List.map
-                (fun churn ->
-                  run_cell ~seed ~budgets ~shape ~churn (scheme_name, s)
-                    structure mode)
+                (fun churn -> run_cell ~seed ~budgets ~churn s structure mode)
                 [ false; true ])
-            modes)
-    (Plan.pairs axes)
+            (modes_of_budgets budgets))
+        Registry.structures)
+    schemes
 
 let failures cells =
   List.filter (fun c -> match c.c_verdict with Fail _ -> true | _ -> false)
@@ -207,13 +190,12 @@ type robustness = {
   r_robust : bool;  (** the scheme's own claim (Table 1) *)
   r_peak : int;  (** peak retired-but-unreclaimed with a stalled reader *)
   r_retired : int;  (** total retired, for scale *)
-  r_freed : int;
 }
 
 (* One reader enters its bracket and is stalled by fault injection
    mid-operation — it holds its reservation forever, exactly the paper's
-   Fig. 10a adversary. Writers then churn insert/remove pairs over
-   disjoint keys, so every pair retires exactly one node. A robust
+   Fig. 10a adversary. Writers then churn 160 insert/remove pairs each
+   over disjoint keys, so every pair retires exactly one node. A robust
    scheme's peak unreclaimed stays bounded by its batch geometry; a
    non-robust scheme's grows linearly with the churn.
 
@@ -227,8 +209,8 @@ type robustness = {
    reader runs until it is provably inside its bracket (enter plus a few
    protected reads); at decision [handoff] the reader is stalled for
    good and the writers are released. *)
-let robustness_probe ?(seed = 3) ?(churn = 160) ?(writers = 2)
-    ?(fault = `Stall) ?name (module S : SMR) : robustness =
+let robustness_probe ?(writers = 2) ?(fault = `Stall) ?name (module S : SMR)
+    : robustness =
   let name = Option.value name ~default:S.scheme_name in
   let module Map = Smr_ds.Michael_hashmap.Make (S) in
   let captured = ref None in
@@ -252,7 +234,7 @@ let robustness_probe ?(seed = 3) ?(churn = 160) ?(writers = 2)
     in
     let writer tid () =
       let base = tid * 100 in
-      for i = 1 to churn do
+      for i = 1 to 160 do
         let k = base + (i mod 8) in
         ignore (Map.insert map k);
         ignore (Map.remove map k)
@@ -274,7 +256,7 @@ let robustness_probe ?(seed = 3) ?(churn = 160) ?(writers = 2)
   (match
      Explore.explore
        ~mode:(Explore.Random_walk { walks = 1 })
-       ~seed ~faults ~max_steps:max_int program
+       ~seed:3 ~faults ~max_steps:max_int program
    with
   | Explore.Violation { message; _ } ->
       invalid_arg ("Verify.robustness_probe: unexpected violation: " ^ message)
@@ -287,7 +269,6 @@ let robustness_probe ?(seed = 3) ?(churn = 160) ?(writers = 2)
         r_robust = S.robust;
         r_peak = m.Smr.Metrics.peak_unreclaimed;
         r_retired = m.Smr.Metrics.retired;
-        r_freed = m.Smr.Metrics.freed;
       }
 
 (* Peak-unreclaimed bound a robust scheme must respect in the probe
@@ -298,12 +279,13 @@ let robustness_probe ?(seed = 3) ?(churn = 160) ?(writers = 2)
    blocking reclamation. *)
 let robust_bound ~writers = (writers + 1) * 3 * 8
 
-let probe_all ?(seed = 3) ?(churn = 160) ?(writers = 2) () :
-    robustness list =
+(* Every reclaiming scheme under one [fault], with 2 writers. *)
+let probe_all ~fault () : robustness list =
   List.filter_map
     (fun (name, (module S : SMR)) ->
-      if name = "Leaky" then None
-      else Some (robustness_probe ~seed ~churn ~writers ~name (module S)))
+      if reclaiming (module S) then
+        Some (robustness_probe ~fault ~name (module S))
+      else None)
     schemes
 
 (* ------------------------------------------------------------------ *)
@@ -322,9 +304,9 @@ type steps = {
           signature (an era-loop scheme's cost grows with the budget) *)
 }
 
-(* Measure what one protected read costs a reader while an adversary
-   floods era advances. The scheduler is driven directly (no explorer):
-   a deterministic picker hands the adversary [ratio] decisions for
+(* Measure what one of 16 protected reads costs a reader while an
+   adversary floods era advances. The scheduler is driven directly (no
+   explorer): a deterministic picker hands the adversary 7 decisions for
    every reader decision — the starvation schedule — and the tracer adds
    up the cost units charged to the reader alone. Under this schedule an
    era-validation loop (Hyaline-1S, Crystalline-L) re-reads until the
@@ -332,8 +314,9 @@ type steps = {
    linearly with [churn]; Crystalline-W's handshake completes each
    parked read as part of the very next era advance, so its cost stays
    flat. *)
-let reader_cost (module S : SMR) ~ops ~churn ~ratio ~seed =
-  let sched = Sched.create ~seed () in
+let reader_cost (module S : SMR) ~churn =
+  let ops = 16 in
+  let sched = Sched.create ~seed:5 () in
   let t =
     S.create { (tiny_cfg ~threads:2) with batch_size = 4; era_freq = 1 }
   in
@@ -375,7 +358,7 @@ let reader_cost (module S : SMR) ~ops ~churn ~ratio ~seed =
        (fun width ->
          incr decisions;
          let want =
-           if !decisions mod ratio = 0 then !reader_tid else !adv_tid
+           if !decisions mod 8 = 0 then !reader_tid else !adv_tid
          in
          let slot = ref 0 in
          for i = 0 to width - 1 do
@@ -401,70 +384,15 @@ let reader_cost (module S : SMR) ~ops ~churn ~ratio ~seed =
 (* The sweep starts high enough that every one of the reader's protects
    falls inside the contention phase at every point — otherwise the mean
    is diluted by uncontended tail reads and every scheme looks flat. *)
-let steps_probe ?(ops = 16) ?(ratio = 8) ?(seed = 5)
-    ?(churns = [ 512; 2048; 8192 ]) ?name (module S : SMR) : steps =
+let steps_probe ?name (module S : SMR) : steps =
   let name = Option.value name ~default:S.scheme_name in
   let costs =
     List.map
-      (fun churn -> (churn, reader_cost (module S) ~ops ~churn ~ratio ~seed))
-      churns
+      (fun churn -> (churn, reader_cost (module S) ~churn))
+      [ 512; 2048; 8192 ]
   in
   let lo = List.fold_left (fun acc (_, c) -> min acc c) max_int costs in
   let hi = List.fold_left (fun acc (_, c) -> max acc c) 0 costs in
   (* Flat = the largest sweep point costs at most 4x the smallest; the
      era-loop schemes blow through this by an order of magnitude. *)
   { s_scheme = name; s_costs = costs; s_bounded = hi <= 4 * lo }
-
-(* The combined machine-checked wait-freedom verdict. Memory axis: under
-   a reader stalled OR killed mid-bracket, the Crystalline pair stays
-   within the robust bound while Epoch and plain Hyaline grow with the
-   churn. Steps axis: Crystalline-W's per-op cost stays flat under the
-   starvation schedule while Crystalline-L's (the same engine minus the
-   handshake) grows with the adversary's budget. Only Crystalline-W is
-   bounded on both axes — Epoch's reads are cheap but its memory is
-   unbounded; Crystalline-L's memory is bounded but its reads are not. *)
-type waitfree = {
-  wf_steps : steps list;
-  wf_stall : robustness list;
-  wf_kill : robustness list;
-  wf_ok : bool;
-  wf_bound : int;  (** the robust peak-unreclaimed bound used *)
-}
-
-let wf_mem_schemes =
-  [ "Epoch"; "Hyaline"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ]
-
-let wf_steps_schemes =
-  [ "Epoch"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ]
-
-let waitfree_probe ?(seed = 3) ?(churn = 160) ?(writers = 2) () : waitfree =
-  let pick names =
-    List.filter (fun (n, _) -> List.mem n names) schemes
-  in
-  let mem fault =
-    List.map
-      (fun (name, s) -> robustness_probe ~seed ~churn ~writers ~fault ~name s)
-      (pick wf_mem_schemes)
-  in
-  let wf_stall = mem `Stall and wf_kill = mem `Kill in
-  let wf_steps =
-    List.map (fun (name, s) -> steps_probe ~name s) (pick wf_steps_schemes)
-  in
-  let bound = robust_bound ~writers in
-  let peak rows name =
-    (List.find (fun r -> r.r_scheme = name) rows).r_peak
-  in
-  let steps_bounded name =
-    (List.find (fun s -> s.s_scheme = name) wf_steps).s_bounded
-  in
-  let mem_bounded name = peak wf_stall name <= bound && peak wf_kill name <= bound in
-  let mem_diverges name = peak wf_stall name > 2 * bound && peak wf_kill name > 2 * bound in
-  let wf_ok =
-    mem_bounded "Crystalline-W" && mem_bounded "Crystalline-L"
-    && mem_bounded "Hyaline-1S" && mem_diverges "Epoch"
-    && mem_diverges "Hyaline" && steps_bounded "Crystalline-W"
-    && steps_bounded "Epoch"
-    && (not (steps_bounded "Crystalline-L"))
-    && not (steps_bounded "Hyaline-1S")
-  in
-  { wf_steps; wf_stall; wf_kill; wf_ok; wf_bound = bound }

@@ -168,7 +168,7 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
 
   (* Budget relief on a refused allocation is one own-thread scan: under a
      stalled Epoch reservation it frees nothing and Epoch genuinely runs
-     out of memory (the non-robustness the footprint figure shows); the
+     out of memory (the non-robustness the robustness scenario shows); the
      robust schemes' reservations pin only what they cover, so they shed
      pressure gracefully. *)
   let fresh_cell f bytes =

@@ -1,9 +1,10 @@
 (** The adversarial verification engine end-to-end: the scheme x
     structure conformance matrix under all three exploration modes, the
-    stall-injection robustness probes judged against each scheme's own
-    [robust] flag, and the full counterexample workflow — a deliberately
-    injected use-after-free is caught by the fuzz scheduler, shrunk to a
-    handful of decisions, serialized to a trace file and replayed. *)
+    stall- and kill-injection robustness probes judged against each
+    scheme's own [robust] flag, and the full counterexample workflow — a
+    deliberately injected use-after-free is caught by the fuzz scheduler,
+    shrunk to a handful of decisions, serialized to a trace file and
+    replayed. *)
 
 module Explore = Smr_runtime.Explore
 module Cell = Smr_runtime.Sim_cell
@@ -23,7 +24,7 @@ open Test_support
 let test_matrix () =
   let cells = Verify.run_matrix ~seed:0 () in
   let n_schemes = List.length Verify.schemes
-  and n_structures = List.length Verify.structures in
+  and n_structures = List.length Smr_harness.Registry.structures in
   Alcotest.(check int)
     "grid extent"
     (n_schemes * n_structures * 3 * 2)
@@ -54,7 +55,7 @@ let test_matrix () =
            not (Smr_harness.Registry.supported structure scheme))
          (List.concat_map
             (fun (scheme, _) ->
-              List.map (fun st -> (scheme, st)) Verify.structures)
+              List.map (fun st -> (scheme, st)) Smr_harness.Registry.structures)
             Verify.schemes))
   in
   let skipped =
@@ -81,7 +82,7 @@ let test_matrix () =
           Alcotest.fail
             (Printf.sprintf "%s/%s/%s%s: %s (shrunk schedule [%s])"
                c.Verify.c_scheme
-               (Verify.structure_name c.Verify.c_structure)
+               (Smr_harness.Registry.structure_name c.Verify.c_structure)
                (Verify.mode_name c.Verify.c_mode)
                (if c.Verify.c_churn then "/churn" else "")
                message
@@ -90,38 +91,46 @@ let test_matrix () =
 
 (* -- stall-injection robustness ------------------------------------------ *)
 
-(* A reader is parked forever inside its bracket while writers churn.
-   Each scheme's peak-unreclaimed must match its own robustness claim
-   (Table 1): bounded for the robust schemes, unbounded growth (here:
-   proportional to churn, far past the bound) for the rest. *)
+(* A reader is parked forever inside its bracket, or killed there, while
+   writers churn. Each scheme's peak-unreclaimed must match its own
+   robustness claim (Table 1) under both faults: bounded for the robust
+   schemes, unbounded growth (here: proportional to churn, far past the
+   bound) for the rest. *)
 let test_robustness_probes () =
   let writers = 2 in
   let bound = Verify.robust_bound ~writers in
-  let probes = Verify.probe_all ~writers () in
-  Alcotest.(check int) "every scheme but Leaky probed"
-    (List.length Verify.schemes - 1)
-    (List.length probes);
   List.iter
-    (fun (r : Verify.robustness) ->
-      if r.Verify.r_robust then
-        Alcotest.(check bool)
-          (r.Verify.r_scheme ^ ": robust scheme bounded under a stalled reader")
-          true
-          (r.Verify.r_peak <= bound)
-      else
-        Alcotest.(check bool)
-          (r.Verify.r_scheme ^ ": non-robust scheme grows with churn")
-          true
-          (r.Verify.r_peak > 2 * bound))
-    probes;
-  (* The paper's headline contrast (Fig. 10a): EBR's backlog dwarfs a
-     robust Hyaline variant's under the very same fault plan. *)
-  let peak name =
-    (List.find (fun r -> r.Verify.r_scheme = name) probes).Verify.r_peak
-  in
-  Alcotest.(check bool)
-    "EBR peak dwarfs Hyaline-1S peak" true
-    (peak "Epoch" > 4 * peak "Hyaline-1S")
+    (fun (fault, what) ->
+      let probes = Verify.probe_all ~fault () in
+      Alcotest.(check int)
+        (what ^ ": every scheme but Leaky probed")
+        (List.length Verify.schemes - 1)
+        (List.length probes);
+      List.iter
+        (fun (r : Verify.robustness) ->
+          if r.Verify.r_robust then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: robust scheme bounded under a %s reader"
+                 r.Verify.r_scheme what)
+              true
+              (r.Verify.r_peak <= bound)
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: non-robust scheme grows with churn (%s)"
+                 r.Verify.r_scheme what)
+              true
+              (r.Verify.r_peak > 2 * bound))
+        probes;
+      (* The paper's headline contrast (Fig. 10a): EBR's backlog dwarfs a
+         robust Hyaline variant's under the very same fault plan. *)
+      let peak name =
+        (List.find (fun r -> r.Verify.r_scheme = name) probes).Verify.r_peak
+      in
+      Alcotest.(check bool)
+        (what ^ ": EBR peak dwarfs Hyaline-1S peak")
+        true
+        (peak "Epoch" > 4 * peak "Hyaline-1S"))
+    [ (`Stall, "stalled"); (`Kill, "killed") ]
 
 (* -- injected bug: catch, shrink, trace, replay -------------------------- *)
 

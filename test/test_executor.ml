@@ -327,7 +327,7 @@ let test_golden_cell_hashes () =
        ~stalled:2 ~sample_every:500 ());
   (* The Crystalline pair: the scheme name is part of the cell key, so
      these pins freeze both the canonical names and the key schema for
-     the waitfree sweep's cache entries. *)
+     the robustness sweep's cache entries. *)
   check "crystalline-l/hashmap t=8" "df261b080f561bed274527bcada6a7c2"
     (Plan.cell ~scheme:"Crystalline-L" ~structure:Registry.Hashmap ~threads:8
        ());

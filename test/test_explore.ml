@@ -90,7 +90,8 @@ let test_hyaline_s_exhaustive () =
 
 (* Pruning must preserve verdicts while exploring no MORE executions
    than the raw tree: same violation found on the racy counter, same
-   clean exhaustion on the CAS counter, fewer or equal runs. *)
+   clean exhaustion on the CAS counter, fewer or equal runs, and every
+   value a racing reader can see. *)
 let test_sleep_sets_sound_and_lean () =
   let racy_program () =
     let c = Cell.make 0 in
@@ -147,7 +148,35 @@ let test_sleep_sets_sound_and_lean () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "independent writes pruned (%d < %d)" pruned raw)
-    true (pruned < raw)
+    true (pruned < raw);
+  (* A read and a write of one cell never commute: the reader must see
+     every value the writer leaves in the cell. Each thread first touches
+     a private cell, so both threads have started, and their racy
+     footprints are known, where the read and the second write branch. A
+     relation that let those two commute would prune the read between
+     the writes, and the value 1 with it. *)
+  let seen = Hashtbl.create 4 in
+  let read_write_program () =
+    let a = Cell.make 0 and b = Cell.make 0 and c = Cell.make 0 in
+    let got = ref (-1) in
+    ( [
+        (fun () ->
+          Cell.set a 1;
+          Cell.set c 1;
+          Cell.set c 2);
+        (fun () ->
+          Cell.set b 1;
+          got := Cell.get c);
+      ],
+      fun () ->
+        Hashtbl.replace seen !got ();
+        true )
+  in
+  ignore
+    (runs "read/write pruned" (Explore.check ~limit:10_000 read_write_program));
+  Alcotest.(check (list int))
+    "pruned DFS sees the reader read every value" [ 0; 1; 2 ]
+    (List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen []))
 
 (* -- fault injection ----------------------------------------------------- *)
 

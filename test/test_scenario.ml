@@ -43,18 +43,6 @@ let test_micro_judge () =
             if s = "Leaky" then (s, []) else (s, series))
           ()))
 
-(* -- footprint ------------------------------------------------------------ *)
-
-let test_footprint_judge () =
-  let judge = Scenario.judge_footprint in
-  passes "2.5x contrast" (judge [ ("Epoch", 250_000); ("Hyaline-S", 100_000) ]);
-  passes "exactly 2x" (judge [ ("Epoch", 200_000); ("Hyaline-S", 100_000) ]);
-  fails_only "1.9x" "robust_contrast"
-    (judge [ ("Epoch", 190_000); ("Hyaline-S", 100_000) ]);
-  fails_only "empty Hyaline-S" "robust_contrast"
-    (judge [ ("Epoch", 190_000); ("Hyaline-S", 0) ]);
-  fails_only "missing series" "robust_contrast" (judge [ ("Epoch", 190_000) ])
-
 (* -- churn ---------------------------------------------------------------- *)
 
 let churn_row ?(events = 400) ?(backlog = 0) scheme micro =
@@ -175,26 +163,93 @@ let test_service_judge () =
        (with_row "Epoch" (fun _ ->
             { (healthy "Epoch") with Scenario.resident_final = 180_479 })))
 
-(* -- waitfree ------------------------------------------------------------- *)
+(* -- robustness ------------------------------------------------------------ *)
 
-let probe ~ok =
-  {
-    Verify.wf_steps =
-      [ { Verify.s_scheme = "Crystalline-W"; s_costs = []; s_bounded = true } ];
-    wf_stall = [];
-    wf_kill = [];
-    wf_ok = ok;
-    wf_bound = 72;
-  }
+let residents =
+  [
+    ("Epoch", 333_056);
+    ("Epoch-nostall", 22_912);
+    ("IBR", 60_000);
+    ("HP", 50_000);
+    ("Hyaline", 310_784);
+    ("Hyaline-S", 94_080);
+    ("Crystalline-W", 79_616);
+  ]
 
-let test_waitfree_judge () =
-  let residents w = [ ("Epoch", 333_056); ("Crystalline-W", w) ] in
-  let judge = Scenario.judge_waitfree in
-  passes "plateau and probes" (judge (residents 79_616) (probe ~ok:true));
-  fails_only "Crystalline-W leaks" "plateau"
-    (judge (residents 200_000) (probe ~ok:true));
-  fails_only "probe ladder broken" "probes"
-    (judge (residents 79_616) (probe ~ok:false))
+(* The committed probe rows, with one scheme's flag or peak overridden. *)
+let faults ?(robust = fun _ r -> r) ?(peak = fun _ p -> p) () =
+  List.map
+    (fun (s, r, p) ->
+      {
+        Verify.r_scheme = s;
+        r_robust = robust s r;
+        r_peak = peak s p;
+        r_retired = 320;
+      })
+    [
+      ("Epoch", false, 320);
+      ("IBR", true, 29);
+      ("HP", true, 16);
+      ("Hyaline", false, 312);
+      ("Hyaline-S", true, 32);
+      ("Crystalline-W", true, 32);
+    ]
+
+let steps ?(bounded = fun _ b -> b) () =
+  List.map
+    (fun (s, b) ->
+      { Verify.s_scheme = s; s_costs = [ (512, 1) ]; s_bounded = bounded s b })
+    [
+      ("Epoch", true);
+      ("Hyaline-1S", false);
+      ("Crystalline-L", false);
+      ("Crystalline-W", true);
+    ]
+
+let probes ?(stall = faults ()) ?(kill = faults ()) ?(steps = steps ()) () =
+  { Scenario.bound = 72; stall; kill; steps }
+
+let test_robustness_judge () =
+  let judge = Scenario.judge_robustness in
+  let set l v = List.map (fun (l', r) -> (l', if l' = l then v else r)) in
+  passes "committed shape" (judge residents (probes ()));
+  passes "exactly 2x" (judge (set "Hyaline-S" 166_528 residents) (probes ()));
+  fails_only "Crystalline-W leaks" "contrast"
+    (judge (set "Crystalline-W" 166_529 residents) (probes ()));
+  fails_only "empty HP" "contrast" (judge (set "HP" 0 residents) (probes ()));
+  fails_only "missing Epoch" "contrast"
+    (judge (List.remove_assoc "Epoch" residents) (probes ()));
+  let epoch_robust = faults ~robust:(fun s r -> r || s = "Epoch") () in
+  fails_only "Epoch claims robustness" "fault_peaks"
+    (judge residents (probes ~stall:epoch_robust ~kill:epoch_robust ()));
+  fails_only "killed Hyaline-S past the bound" "fault_peaks"
+    (judge residents
+       (probes
+          ~kill:(faults ~peak:(fun s p -> if s = "Hyaline-S" then 73 else p) ())
+          ()));
+  fails_only "stalled Hyaline within twice the bound" "fault_peaks"
+    (judge residents
+       (probes
+          ~stall:(faults ~peak:(fun s p -> if s = "Hyaline" then 144 else p) ())
+          ()));
+  fails_only "no kill probe for Hyaline-S" "fault_peaks"
+    (judge residents
+       (probes
+          ~kill:
+            (List.filter
+               (fun r -> r.Verify.r_scheme <> "Hyaline-S")
+               (faults ()))
+          ()));
+  fails_only "Crystalline-L flat" "steps"
+    (judge residents
+       (probes
+          ~steps:(steps ~bounded:(fun s b -> b || s = "Crystalline-L") ())
+          ()));
+  fails_only "Crystalline-W grows" "steps"
+    (judge residents
+       (probes
+          ~steps:(steps ~bounded:(fun s b -> b && s <> "Crystalline-W") ())
+          ()))
 
 (* -- the envelope --------------------------------------------------------- *)
 
@@ -272,10 +327,9 @@ let test_run_writes_nested_dir () =
 let suite =
   [
     Alcotest.test_case "micro-judge" `Quick test_micro_judge;
-    Alcotest.test_case "footprint-judge" `Quick test_footprint_judge;
     Alcotest.test_case "churn-judge" `Quick test_churn_judge;
     Alcotest.test_case "service-judge" `Quick test_service_judge;
-    Alcotest.test_case "waitfree-judge" `Quick test_waitfree_judge;
+    Alcotest.test_case "robustness-judge" `Quick test_robustness_judge;
     Alcotest.test_case "envelope-round-trip" `Quick test_envelope_round_trip;
     Alcotest.test_case "run-writes-nested-dir" `Quick
       test_run_writes_nested_dir;

@@ -65,11 +65,13 @@ for kind in micro service churn; do
 done
 
 # Verdict scenarios: micro (every bench scheme has a run, each with a
-# scheme-specific series), footprint (stalled Epoch's resident bytes at least
-# double Hyaline-S's), churn (Hyaline's register/deregister costs nothing,
-# every registration scheme pays, no orphan leaks), service (Hyaline-S
-# keeps serving within the SLO while Epoch diverges or OOMs) and waitfree
-# (Crystalline-W bounded in memory and per-op steps). Each driver writes
+# scheme-specific series), robustness (stalled Epoch's resident bytes at
+# least double every robust scheme's, each scheme's peak under a stalled
+# and a killed reader on its own side of the bound, Crystalline-W's
+# per-op steps flat where the era-loop schemes' grow), churn (Hyaline's
+# register/deregister costs nothing, every registration scheme pays, no
+# orphan leaks) and service (Hyaline-S keeps serving within the SLO while
+# Epoch diverges or OOMs). Each driver writes
 # its verdict envelope, re-reads it and exits non-zero unless the verdict
 # holds. The first run over an empty cache must execute cells; a second
 # run over the same cache must execute zero cells and reproduce the
@@ -77,7 +79,7 @@ done
 # deserialize loop. The fresh artifact must equal the committed
 # BENCH_<kind>.json, so a change that moves a schedule cannot leave a
 # stale artifact behind.
-for kind in micro footprint churn service waitfree; do
+for kind in micro robustness churn service; do
   echo "==> $kind scenario"
   for pass in cold warm; do
     mkdir "$tmpdir/$kind.$pass"
@@ -101,18 +103,16 @@ for kind in micro footprint churn service waitfree; do
 done
 
 # Budgeted adversarial verification: the full scheme x structure matrix
-# under sleep-set DFS, random walks and PCT, plus the stall-injection
-# robustness probes — fixed seeds, smoke budgets (the whole sweep is a
-# fraction of a second; the one-minute CI budget has two orders of
-# magnitude of slack). Exits non-zero on any violation, which dumps a
-# replayable trace file into $tmpdir for inspection before cleanup. The
-# run is deterministic, so its report must equal the committed
-# VERIFY_seed0.txt: a change that moves a schedule, a peak or a step
-# bound cannot pass silently.
+# under sleep-set DFS, random walks and PCT — fixed seeds, smoke budgets
+# (the whole sweep is a fraction of a second; the one-minute CI budget
+# has two orders of magnitude of slack). Exits non-zero on any violation,
+# which dumps a replayable trace file into $tmpdir for inspection before
+# cleanup. The run is deterministic, so its report must equal the
+# committed VERIFY_seed0.txt.
 echo "==> verify smoke run"
 dune exec bin/figures.exe -- verify --seed 0 --trace-dir "$tmpdir" \
   >"$tmpdir/verify.txt" || {
-  echo "verify: a probe found a violation or the driver crashed"
+  echo "verify: the matrix found a violation or the driver crashed"
   cat "$tmpdir/verify.txt"; exit 1; }
 cat "$tmpdir/verify.txt"
 cmp "$tmpdir/verify.txt" VERIFY_seed0.txt || {

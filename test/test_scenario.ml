@@ -209,16 +209,24 @@ let steps ?(bounded = fun _ b -> b) () =
 let probes ?(stall = faults ()) ?(kill = faults ()) ?(steps = steps ()) () =
   { Scenario.bound = 72; stall; kill; steps }
 
-let test_robustness_judge () =
-  let judge = Scenario.judge_robustness in
-  let set l v = List.map (fun (l', r) -> (l', if l' = l then v else r)) in
+let judge = Scenario.judge_robustness
+let set l v = List.map (fun (l', r) -> (l', if l' = l then v else r))
+
+(* The robustness judge's memory check: stalled Epoch's resident bytes
+   against every robust scheme's. *)
+let test_footprint_judge () =
   passes "committed shape" (judge residents (probes ()));
   passes "exactly 2x" (judge (set "Hyaline-S" 166_528 residents) (probes ()));
   fails_only "Crystalline-W leaks" "contrast"
     (judge (set "Crystalline-W" 166_529 residents) (probes ()));
   fails_only "empty HP" "contrast" (judge (set "HP" 0 residents) (probes ()));
   fails_only "missing Epoch" "contrast"
-    (judge (List.remove_assoc "Epoch" residents) (probes ()));
+    (judge (List.remove_assoc "Epoch" residents) (probes ()))
+
+(* The robustness judge's fault check: each scheme's stall and kill peaks
+   on its own flag's side of the bound. *)
+let test_robustness_judge () =
+  passes "committed shape" (judge residents (probes ()));
   let epoch_robust = faults ~robust:(fun s r -> r || s = "Epoch") () in
   fails_only "Epoch claims robustness" "fault_peaks"
     (judge residents (probes ~stall:epoch_robust ~kill:epoch_robust ()));
@@ -239,7 +247,12 @@ let test_robustness_judge () =
             (List.filter
                (fun r -> r.Verify.r_scheme <> "Hyaline-S")
                (faults ()))
-          ()));
+          ()))
+
+(* The robustness judge's step check: the reader's cost per operation flat
+   for Epoch and Crystalline-W, growing for Crystalline-L and Hyaline-1S. *)
+let test_waitfree_judge () =
+  passes "committed shape" (judge residents (probes ()));
   fails_only "Crystalline-L flat" "steps"
     (judge residents
        (probes
@@ -329,7 +342,9 @@ let suite =
     Alcotest.test_case "micro-judge" `Quick test_micro_judge;
     Alcotest.test_case "churn-judge" `Quick test_churn_judge;
     Alcotest.test_case "service-judge" `Quick test_service_judge;
+    Alcotest.test_case "footprint-judge" `Quick test_footprint_judge;
     Alcotest.test_case "robustness-judge" `Quick test_robustness_judge;
+    Alcotest.test_case "waitfree-judge" `Quick test_waitfree_judge;
     Alcotest.test_case "envelope-round-trip" `Quick test_envelope_round_trip;
     Alcotest.test_case "run-writes-nested-dir" `Quick
       test_run_writes_nested_dir;

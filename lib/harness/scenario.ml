@@ -608,65 +608,72 @@ let service =
    The probes are deterministic (fixed seeds, custom picker) and run
    uncached. *)
 type probes = {
-  bound : int;  (** the robust peak-unreclaimed bound *)
-  stall : Verify.robustness list;
-  kill : Verify.robustness list;
+  faults : (Verify.robustness * Verify.robustness) list;
+      (** per reclaiming scheme: its (stalled, killed) probe *)
   steps : Verify.steps list;
 }
 
 type robustness = { sweep : sweep; probes : probes }
 
 (* Flat-step schemes and era-loop schemes whose reads grow with the
-   adversary's allocation budget. *)
+   adversary's allocation budget; the steps probe runs both, in order. *)
 let flat_steps = [ "Epoch"; "Crystalline-W" ]
 let growing_steps = [ "Hyaline-1S"; "Crystalline-L" ]
 
 let probe_robustness () =
-  let steps_of name =
-    match Verify.scheme_of_name name with
-    | Some s -> Verify.steps_probe ~name s
-    | None -> invalid_arg ("Scenario.robustness: unknown scheme " ^ name)
-  in
   {
-    bound = Verify.robust_bound ~writers:2;
-    stall = Verify.probe_all ~fault:`Stall ();
-    kill = Verify.probe_all ~fault:`Kill ();
-    steps =
-      List.map steps_of
-        [ "Epoch"; "Hyaline-1S"; "Crystalline-L"; "Crystalline-W" ];
+    faults =
+      List.combine
+        (Verify.probe_all ~fault:`Stall ())
+        (Verify.probe_all ~fault:`Kill ());
+    steps = List.map Verify.steps_probe (flat_steps @ growing_steps);
   }
 
 (* [contrast]: stalled Epoch's final resident bytes at least double those
-   of every other series whose scheme claims robustness. [fault_peaks]:
-   each probed scheme's stall and kill peaks sit on its own side of the
-   bound — within it when robust, past twice it when not. [steps]: Epoch
-   and Crystalline-W read in flat cost, the era-loop schemes do not.
-   Input: final resident bytes per sweep series, and the probes. *)
+   of every other {!Plan.robustness} series whose scheme claims
+   robustness; a robust series missing from the sweep fails it.
+   [fault_peaks]: each reclaiming scheme's stall and kill peaks sit on its
+   own side of the bound — within it when robust, past twice it when not;
+   an unprobed scheme fails it.
+   [steps]: Epoch and Crystalline-W read in flat cost, the era-loop
+   schemes do not. Input: final resident bytes per sweep series, and the
+   probes. *)
 let judge_robustness residents p =
+  let bound = Verify.robust_bound in
   let robust l =
-    List.exists (fun r -> r.Verify.r_scheme = l && r.Verify.r_robust) p.stall
+    List.exists
+      (fun (r, _) -> r.Verify.r_scheme = l && r.Verify.r_robust)
+      p.faults
   in
-  let others =
-    List.filter (fun (l, _) -> l <> "Epoch" && robust l) residents
+  let expected =
+    List.filter
+      (fun l -> l <> "Epoch" && robust l)
+      (List.map (fun c -> c.Plan.label) (Plan.robustness ()).Plan.cells)
   in
+  let missing =
+    List.filter (fun l -> not (List.mem_assoc l residents)) expected
+  in
+  let others = List.filter (fun (l, _) -> List.mem l expected) residents in
   let epoch = Option.value (List.assoc_opt "Epoch" residents) ~default:0 in
   let misplaced =
     List.concat_map
-      (fun (fault, rows) ->
-        List.filter_map
-          (fun (r : Verify.robustness) ->
-            if
-              if r.Verify.r_robust then r.Verify.r_peak <= p.bound
-              else r.Verify.r_peak > 2 * p.bound
-            then None
-            else
-              Some
-                (Printf.sprintf "%s %s %d (robust=%b)" r.Verify.r_scheme fault
-                   r.Verify.r_peak r.Verify.r_robust))
-          rows)
-      [ ("stalled", p.stall); ("killed", p.kill) ]
+      (fun (n, s) ->
+        match List.find_opt (fun (r, _) -> r.Verify.r_scheme = n) p.faults with
+        | None -> if Verify.reclaiming s then [ n ^ " unprobed" ] else []
+        | Some (stalled, killed) ->
+            List.filter_map
+              (fun (fault, (r : Verify.robustness)) ->
+                if
+                  if r.Verify.r_robust then r.Verify.r_peak <= bound
+                  else r.Verify.r_peak > 2 * bound
+                then None
+                else
+                  Some
+                    (Printf.sprintf "%s %s %d (robust=%b)" n fault
+                       r.Verify.r_peak r.Verify.r_robust))
+              [ ("stalled", stalled); ("killed", killed) ])
+      Verify.schemes
   in
-  let scheme_names = List.map (fun r -> r.Verify.r_scheme) in
   let bounded n =
     List.find_map
       (fun s ->
@@ -680,19 +687,20 @@ let judge_robustness residents p =
   Verdict.of_checks
     [
       ( "contrast",
-        others <> []
+        missing = [] && others <> []
         && List.for_all (fun (_, r) -> r > 0 && epoch >= 2 * r) others,
-        Printf.sprintf "stalled Epoch resident %dB vs robust %s (need >= 2x)"
+        Printf.sprintf
+          "stalled Epoch resident %dB vs robust %s (need >= 2x); missing: [%s]"
           epoch
           (String.concat ", "
-             (List.map (fun (l, r) -> Printf.sprintf "%s %dB" l r) others)) );
+             (List.map (fun (l, r) -> Printf.sprintf "%s %dB" l r) others))
+          (String.concat ", " missing) );
       ( "fault_peaks",
-        p.stall <> [] && misplaced = []
-        && scheme_names p.stall = scheme_names p.kill,
+        misplaced = [],
         Printf.sprintf
-          "%d schemes stalled, %d killed: robust <= %d, others > %d; \
+          "%d schemes stalled and killed: robust <= %d, others > %d; \
            misplaced: [%s]"
-          (List.length p.stall) (List.length p.kill) p.bound (2 * p.bound)
+          (List.length p.faults) bound (2 * bound)
           (String.concat ", " misplaced) );
       ( "steps",
         wrong_steps = [],
@@ -718,16 +726,6 @@ let counters (r : Workload.result) =
       m.pressure_events;
       m.oom_failures;
     ]
-
-(* Each stalled row beside its scheme's killed peak (0 when missing). *)
-let fault_rows p =
-  List.map
-    (fun (s : Verify.robustness) ->
-      let k =
-        List.find_opt (fun k -> k.Verify.r_scheme = s.Verify.r_scheme) p.kill
-      in
-      (s, Option.fold ~none:0 ~some:(fun k -> k.Verify.r_peak) k))
-    p.stall
 
 let render_robustness ppf { sweep = sw; probes = p } =
   Fmt.pf ppf
@@ -755,14 +753,14 @@ let render_robustness ppf { sweep = sw; probes = p } =
       Fmt.pf ppf "@.")
     p.steps;
   Fmt.pf ppf "@.## peak unreclaimed under a faulted reader (bound %d)@."
-    p.bound;
+    Verify.robust_bound;
   Fmt.pf ppf "%-14s %6s %10s %10s %10s@." "scheme" "robust" "stalled" "killed"
     "retired";
   List.iter
-    (fun ((s : Verify.robustness), killed) ->
+    (fun ((s : Verify.robustness), (k : Verify.robustness)) ->
       Fmt.pf ppf "%-14s %6b %10d %10d %10d@." s.Verify.r_scheme
-        s.Verify.r_robust s.Verify.r_peak killed s.Verify.r_retired)
-    (fault_rows p)
+        s.Verify.r_robust s.Verify.r_peak k.Verify.r_peak s.Verify.r_retired)
+    p.faults
 
 let robustness_body { sweep = sw; probes = p } =
   Json.Obj
@@ -782,7 +780,7 @@ let robustness_body { sweep = sw; probes = p } =
                          (List.map Executor.sample_to_json
                             r.Workload.timeline) ) ]))
              sw.rows) );
-      ("bound", Json.Int p.bound);
+      ("bound", Json.Int Verify.robust_bound);
       ( "steps",
         Json.List
           (List.map
@@ -803,16 +801,16 @@ let robustness_body { sweep = sw; probes = p } =
       ( "faulted_peaks",
         Json.List
           (List.map
-             (fun ((s : Verify.robustness), killed) ->
+             (fun ((s : Verify.robustness), (k : Verify.robustness)) ->
                Json.Obj
                  [
                    ("scheme", Json.String s.Verify.r_scheme);
                    ("robust", Json.Bool s.Verify.r_robust);
                    ("stalled", Json.Int s.Verify.r_peak);
-                   ("killed", Json.Int killed);
+                   ("killed", Json.Int k.Verify.r_peak);
                    ("retired", Json.Int s.Verify.r_retired);
                  ])
-             (fault_rows p)) );
+             p.faults) );
     ]
 
 let robustness =

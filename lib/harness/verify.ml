@@ -50,6 +50,9 @@ let ops = 2
 let keys = 2
 let prog_seed = 7
 
+(* Writer threads beside the faulted reader in {!robustness_probe}. *)
+let writers = 2
+
 let reclaiming (module S : SMR) = S.scheme_name <> "Leaky"
 
 (* One uniform program over the set facade: the stack and queue
@@ -209,9 +212,7 @@ type robustness = {
    reader runs until it is provably inside its bracket (enter plus a few
    protected reads); at decision [handoff] the reader is stalled for
    good and the writers are released. *)
-let robustness_probe ?(writers = 2) ?(fault = `Stall) ?name (module S : SMR)
-    : robustness =
-  let name = Option.value name ~default:S.scheme_name in
+let robustness_probe ~fault ~name (module S : SMR) : robustness =
   let module Map = Smr_ds.Michael_hashmap.Make (S) in
   let captured = ref None in
   let program () =
@@ -277,9 +278,9 @@ let robustness_probe ?(writers = 2) ?(fault = `Stall) ?name (module S : SMR)
    sealed one being dismantled), plus per-thread retire lists for the
    scan-based schemes. Anything past this means a stalled reader is
    blocking reclamation. *)
-let robust_bound ~writers = (writers + 1) * 3 * 8
+let robust_bound = (writers + 1) * 3 * 8
 
-(* Every reclaiming scheme under one [fault], with 2 writers. *)
+(* Every reclaiming scheme under one [fault]. *)
 let probe_all ~fault () : robustness list =
   List.filter_map
     (fun (name, (module S : SMR)) ->
@@ -384,8 +385,12 @@ let reader_cost (module S : SMR) ~churn =
 (* The sweep starts high enough that every one of the reader's protects
    falls inside the contention phase at every point — otherwise the mean
    is diluted by uncontended tail reads and every scheme looks flat. *)
-let steps_probe ?name (module S : SMR) : steps =
-  let name = Option.value name ~default:S.scheme_name in
+let steps_probe name : steps =
+  let (module S : SMR) =
+    match scheme_of_name name with
+    | Some s -> s
+    | None -> invalid_arg ("Verify.steps_probe: unknown scheme " ^ name)
+  in
   let costs =
     List.map
       (fun churn -> (churn, reader_cost (module S) ~churn))

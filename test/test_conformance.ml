@@ -97,8 +97,7 @@ let test_matrix () =
    schemes, unbounded growth (here: proportional to churn, far past the
    bound) for the rest. *)
 let test_robustness_probes () =
-  let writers = 2 in
-  let bound = Verify.robust_bound ~writers in
+  let bound = Verify.robust_bound in
   List.iter
     (fun (fault, what) ->
       let probes = Verify.probe_all ~fault () in

@@ -173,11 +173,10 @@ let test_aba_attribution () =
    grows with the churn — the memory half of wait-freedom, asserted
    directly against the engine rather than via the full verify sweep. *)
 let test_stall_bound_vs_ebr () =
-  let writers = 2 in
-  let bound = Verify.robust_bound ~writers in
+  let bound = Verify.robust_bound in
   let probe name =
     match Verify.scheme_of_name name with
-    | Some s -> Verify.robustness_probe ~writers ~name s
+    | Some s -> Verify.robustness_probe ~fault:`Stall ~name s
     | None -> Alcotest.fail ("registry lost " ^ name)
   in
   let w = probe "Crystalline-W"

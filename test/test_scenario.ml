@@ -165,14 +165,17 @@ let test_service_judge () =
 
 (* -- robustness ------------------------------------------------------------ *)
 
+(* The committed sweep's final resident bytes, one per series. *)
 let residents =
   [
     ("Epoch", 333_056);
     ("Epoch-nostall", 22_912);
-    ("IBR", 60_000);
-    ("HP", 50_000);
+    ("IBR", 40_960);
+    ("HP", 24_576);
     ("Hyaline", 310_784);
     ("Hyaline-S", 94_080);
+    ("Hyaline-1S", 77_184);
+    ("Crystalline-L", 77_184);
     ("Crystalline-W", 79_616);
   ]
 
@@ -189,10 +192,16 @@ let faults ?(robust = fun _ r -> r) ?(peak = fun _ p -> p) () =
     [
       ("Epoch", false, 320);
       ("IBR", true, 29);
+      ("HE", true, 30);
       ("HP", true, 16);
       ("Hyaline", false, 312);
+      ("Hyaline-1", false, 312);
       ("Hyaline-S", true, 32);
+      ("Hyaline-1S", true, 32);
+      ("Crystalline-L", true, 32);
       ("Crystalline-W", true, 32);
+      ("Hyaline/llsc", false, 320);
+      ("Hyaline-S/llsc", true, 32);
     ]
 
 let steps ?(bounded = fun _ b -> b) () =
@@ -207,24 +216,28 @@ let steps ?(bounded = fun _ b -> b) () =
     ]
 
 let probes ?(stall = faults ()) ?(kill = faults ()) ?(steps = steps ()) () =
-  { Scenario.bound = 72; stall; kill; steps }
+  { Scenario.faults = List.combine stall kill; steps }
 
 let judge = Scenario.judge_robustness
 let set l v = List.map (fun (l', r) -> (l', if l' = l then v else r))
 
 (* The robustness judge's memory check: stalled Epoch's resident bytes
-   against every robust scheme's. *)
+   against every robust series the sweep plans, none of them missing. *)
 let test_footprint_judge () =
   passes "committed shape" (judge residents (probes ()));
   passes "exactly 2x" (judge (set "Hyaline-S" 166_528 residents) (probes ()));
   fails_only "Crystalline-W leaks" "contrast"
     (judge (set "Crystalline-W" 166_529 residents) (probes ()));
   fails_only "empty HP" "contrast" (judge (set "HP" 0 residents) (probes ()));
+  fails_only "missing series" "contrast"
+    (judge (List.remove_assoc "Hyaline-S" residents) (probes ()));
+  fails_only "missing Crystalline-L" "contrast"
+    (judge (List.remove_assoc "Crystalline-L" residents) (probes ()));
   fails_only "missing Epoch" "contrast"
     (judge (List.remove_assoc "Epoch" residents) (probes ()))
 
-(* The robustness judge's fault check: each scheme's stall and kill peaks
-   on its own flag's side of the bound. *)
+(* The robustness judge's fault check: each reclaiming scheme probed, its
+   stall and kill peaks on its own flag's side of the bound. *)
 let test_robustness_judge () =
   passes "committed shape" (judge residents (probes ()));
   let epoch_robust = faults ~robust:(fun s r -> r || s = "Epoch") () in
@@ -240,14 +253,10 @@ let test_robustness_judge () =
        (probes
           ~stall:(faults ~peak:(fun s p -> if s = "Hyaline" then 144 else p) ())
           ()));
-  fails_only "no kill probe for Hyaline-S" "fault_peaks"
+  let probed = List.filter (fun r -> r.Verify.r_scheme <> "Hyaline-S") in
+  fails_only "Hyaline-S unprobed" "fault_peaks"
     (judge residents
-       (probes
-          ~kill:
-            (List.filter
-               (fun r -> r.Verify.r_scheme <> "Hyaline-S")
-               (faults ()))
-          ()))
+       (probes ~stall:(probed (faults ())) ~kill:(probed (faults ())) ()))
 
 (* The robustness judge's step check: the reader's cost per operation flat
    for Epoch and Crystalline-W, growing for Crystalline-L and Hyaline-1S. *)

@@ -23,7 +23,12 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     size : int;
   }
 
-  type t = { smr : pl S.t; root : pl S.node option A.t }
+  type t = {
+    smr : pl S.t;
+    root : pl S.node option A.t;
+    read_root : unit -> pl S.node option;
+        (* [root]'s [protect] read thunk, built once per tree *)
+  }
 
   (* A walk's [protect] read thunk over plain nodes, not cells: [deref]
      repoints it at each level, so a level allocates nothing. *)
@@ -35,7 +40,10 @@ module Make (S : Smr.Smr_intf.SMR) = struct
 
   type guard = pl S.guard
 
-  let create ?buckets:_ cfg = { smr = S.create cfg; root = A.make None }
+  let create ?buckets:_ cfg =
+    let root = A.make None in
+    { smr = S.create cfg; root; read_root = (fun () -> A.get root) }
+
   let size = function None -> 0 | Some n -> (S.data n).size
 
   (* Era-touching dereference: the child links are immutable, so the read
@@ -100,27 +108,28 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     end
     else mk t key l r
 
+  (* The walks below are module-level functions and match on a child's
+     result, so a level builds no closure (DESIGN.md §15 "Closure-free
+     hot paths"). *)
+
   (* Pure insertion into the snapshot; returns None if the key is present. *)
-  let insert_path t g h retired key root =
-    let rec go node =
-      match node with
-      | None -> Some (mk t key None None)
-      | Some n ->
-          let v = deref t g h n in
-          if key = v.key then None
-          else begin
-            retired := n :: !retired;
-            if key < v.key then
-              Option.map
-                (fun l -> balance t g h retired v.key (Some l) v.right)
-                (go v.left)
-            else
-              Option.map
-                (fun r -> balance t g h retired v.key v.left (Some r))
-                (go v.right)
-          end
-    in
-    go root
+  let rec insert_path t g h retired key node =
+    match node with
+    | None -> Some (mk t key None None)
+    | Some n -> (
+        let v = deref t g h n in
+        if key = v.key then None
+        else begin
+          retired := n :: !retired;
+          if key < v.key then
+            match insert_path t g h retired key v.left with
+            | None -> None
+            | l -> Some (balance t g h retired v.key l v.right)
+          else
+            match insert_path t g h retired key v.right with
+            | None -> None
+            | r -> Some (balance t g h retired v.key v.left r)
+        end)
 
   (* Remove the minimum of a non-empty subtree; returns (min_payload, rest). *)
   let rec take_min t g h retired n =
@@ -134,79 +143,85 @@ module Make (S : Smr.Smr_intf.SMR) = struct
 
   (* Returns [Some new_subtree] when the key was removed, [None] if it was
      absent (path nodes are only marked for retirement on success). *)
-  let remove_path t g h retired key root =
-    let rec go node =
-      match node with
-      | None -> None
-      | Some n -> (
-          let v = deref t g h n in
-          if key = v.key then begin
-            retired := n :: !retired;
-            match (v.left, v.right) with
-            | None, r -> Some r
-            | l, None -> Some l
-            | l, Some r ->
-                let m, rest = take_min t g h retired r in
-                Some (Some (balance t g h retired m.key l rest))
-          end
-          else if key < v.key then
-            match go v.left with
-            | None -> None
-            | Some l' ->
-                retired := n :: !retired;
-                Some (Some (balance t g h retired v.key l' v.right))
-          else
-            match go v.right with
-            | None -> None
-            | Some r' ->
-                retired := n :: !retired;
-                Some (Some (balance t g h retired v.key v.left r')))
-    in
-    go root
+  let rec remove_path t g h retired key node =
+    match node with
+    | None -> None
+    | Some n -> (
+        let v = deref t g h n in
+        if key = v.key then begin
+          retired := n :: !retired;
+          match (v.left, v.right) with
+          | None, r -> Some r
+          | l, None -> Some l
+          | l, Some r ->
+              let m, rest = take_min t g h retired r in
+              Some (Some (balance t g h retired m.key l rest))
+        end
+        else if key < v.key then
+          match remove_path t g h retired key v.left with
+          | None -> None
+          | Some l' ->
+              retired := n :: !retired;
+              Some (Some (balance t g h retired v.key l' v.right))
+        else
+          match remove_path t g h retired key v.right with
+          | None -> None
+          | Some r' ->
+              retired := n :: !retired;
+              Some (Some (balance t g h retired v.key v.left r')))
+
+  (* An update's new root: [Some root] to publish, [None] when the
+     update is a no-op. *)
+  let insert_root t g h retired key snapshot =
+    match insert_path t g h retired key snapshot with
+    | None -> None
+    | root -> Some root
+
+  let rec contains_from t g h key node =
+    match node with
+    | None -> false
+    | Some n ->
+        let v = deref t g h n in
+        if key = v.key then true
+        else if key < v.key then contains_from t g h key v.left
+        else contains_from t g h key v.right
 
   let contains_with t g key =
     let h = Holder.make (Smr.Smr_intf.nil ()) in
-    let rec go node =
-      match node with
-      | None -> false
-      | Some n ->
-          let v = deref t g h n in
-          if key = v.key then true
-          else if key < v.key then go v.left
-          else go v.right
-    in
-    go
-      (S.protect t.smr g ~idx:0
-         ~read:(fun () -> A.get t.root)
+    contains_from t g h key
+      (S.protect t.smr g ~idx:0 ~read:t.read_root
          ~target:Smr.Smr_intf.of_option)
 
-  let update_root t g compute =
-    let h = Holder.make (Smr.Smr_intf.nil ()) in
-    let rec attempt () =
-      let snapshot =
-        S.protect t.smr g ~idx:0
-          ~read:(fun () -> A.get t.root)
-          ~target:Smr.Smr_intf.of_option
-      in
-      let retired = ref [] in
-      match compute h retired snapshot with
-      | None -> false (* no-op: key present (insert) or absent (remove) *)
-      | Some fresh ->
-          if A.compare_and_set t.root snapshot fresh then begin
-            List.iter (S.retire t.smr g) !retired;
-            true
-          end
-          else attempt ()
-          (* losing nodes were never published: dropped, not retired *)
+  let rec retire_all t g = function
+    | [] -> ()
+    | n :: rest ->
+        S.retire t.smr g n;
+        retire_all t g rest
+
+  (* Build [path]'s new version of a protected snapshot and publish it
+     with one root CAS, retrying on a lost race. *)
+  let rec update_root t g h path key =
+    let snapshot =
+      S.protect t.smr g ~idx:0 ~read:t.read_root
+        ~target:Smr.Smr_intf.of_option
     in
-    attempt ()
+    let retired = ref [] in
+    match path t g h retired key snapshot with
+    | None -> false (* no-op: key present (insert) or absent (remove) *)
+    | Some fresh ->
+        if A.compare_and_set t.root snapshot fresh then begin
+          retire_all t g !retired;
+          true
+        end
+        else
+          (* losing nodes were never published: dropped, not retired *)
+          update_root t g h path key
 
   let insert_with t g key =
-    update_root t g (fun h retired snap ->
-        Option.map (fun n -> Some n) (insert_path t g h retired key snap))
+    update_root t g (Holder.make (Smr.Smr_intf.nil ())) insert_root key
 
   let remove_with t g key =
-    update_root t g (fun h retired snap -> remove_path t g h retired key snap)
+    update_root t g (Holder.make (Smr.Smr_intf.nil ())) remove_path key
 
   include Ds_intf.Bracket (struct
     module S = S

@@ -12,7 +12,10 @@
     "Box-free traversals"): links hold bare nodes with
     {!Smr.Smr_intf.nil} at the end of the list, each [find] builds one
     {!Ds_intf.Reader} whose [read] thunk every [protect] of the walk
-    shares, and [find] returns its result in one {!type:found} record. *)
+    shares, and [find] returns its result in one {!type:found} record.
+    Nor does it build a closure: the walk is the module-level [advance]
+    (§15 "Closure-free hot paths"), so a [find] allocates only its
+    reader and its result. *)
 
 module Make (S : Smr.Smr_intf.SMR) = struct
   let ds_name = "hm-list"
@@ -53,48 +56,50 @@ module Make (S : Smr.Smr_intf.SMR) = struct
 
   exception Restart
 
-  (* Walks from [head], unlinking marked nodes on the way (the winning CAS
-     retires). A hop allocates nothing: it repoints the reader. *)
-  let rec find smr g head key =
-    let r = Reader.make head in
-    let rec advance depth prev prev_link =
-      let cn = prev_link.tgt in
-      if Smr.Smr_intf.is_nil cn then
+  (* Walks from [prev_link], unlinking marked nodes on the way (the
+     winning CAS retires). A hop allocates nothing: it repoints the
+     reader. *)
+  let rec advance smr g key r depth prev prev_link =
+    let cn = prev_link.tgt in
+    if Smr.Smr_intf.is_nil cn then
+      {
+        prev;
+        prev_link;
+        curr = cn;
+        curr_key = 0;
+        curr_cell = prev;
+        curr_link = prev_link;
+      }
+    else
+      let cpl = S.data cn in
+      r.Reader.src <- cpl.next;
+      let next =
+        S.protect smr g ~idx:((depth + 1) mod 3) ~read:r.read ~target
+      in
+      if next.marked then begin
+        let desired = { tgt = next.tgt; marked = false } in
+        if A.compare_and_set prev prev_link desired then begin
+          S.retire smr g cn;
+          advance smr g key r depth prev desired
+        end
+        else raise Restart
+      end
+      else if cpl.key >= key then
         {
           prev;
           prev_link;
           curr = cn;
-          curr_key = 0;
-          curr_cell = prev;
-          curr_link = prev_link;
+          curr_key = cpl.key;
+          curr_cell = cpl.next;
+          curr_link = next;
         }
-      else
-        let cpl = S.data cn in
-        r.Reader.src <- cpl.next;
-        let next =
-          S.protect smr g ~idx:((depth + 1) mod 3) ~read:r.read ~target
-        in
-        if next.marked then begin
-          let desired = { tgt = next.tgt; marked = false } in
-          if A.compare_and_set prev prev_link desired then begin
-            S.retire smr g cn;
-            advance depth prev desired
-          end
-          else raise Restart
-        end
-        else if cpl.key >= key then
-          {
-            prev;
-            prev_link;
-            curr = cn;
-            curr_key = cpl.key;
-            curr_cell = cpl.next;
-            curr_link = next;
-          }
-        else advance (depth + 1) cpl.next next
-    in
+      else advance smr g key r (depth + 1) cpl.next next
+
+  let rec find smr g head key =
+    let r = Reader.make head in
     match
-      advance 0 head (S.protect smr g ~idx:0 ~read:r.read ~target)
+      advance smr g key r 0 head
+        (S.protect smr g ~idx:0 ~read:r.read ~target)
     with
     | f -> f
     | exception Restart -> find smr g head key

@@ -13,7 +13,14 @@
     Hazard slots: 0 ancestor, 1 successor, 2 parent, 3 leaf/next —
     transfers between roles re-publish an already-protected node through
     [S.transfer], which is safe by the standard HP transfer rule and costs
-    what each scheme decides (nothing for the Hyaline engines). *)
+    what each scheme decides (nothing for the Hyaline engines).
+
+    A seek allocates nothing per level it descends (DESIGN.md §15
+    "Box-free traversals" and "Closure-free hot paths"): edges hold bare
+    nodes, every [protect] of the walk shares one {!Ds_intf.Reader}, and
+    the descent, the sibling tagging and removal's two phases are
+    module-level functions, so a seek allocates only its reader and its
+    {!type:seek_record}. *)
 
 module Make (S : Smr.Smr_intf.SMR) = struct
   let ds_name = "nm-tree"
@@ -80,38 +87,41 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     r.Reader.src <- field;
     S.protect t.smr g ~idx ~read:r.Reader.read ~target:(fun e -> e.tgt)
 
+  (* One level of [seek]'s descent: the edge to [leaf_edge.tgt] was read
+     from [par_field], and an untagged one moves the ancestor and
+     successor roles down. *)
+  let rec descend t g key r ~ancestor ~anc_field ~successor ~parent ~par
+      ~par_field ~leaf_edge =
+    let leaf = leaf_edge.tgt in
+    match S.data leaf with
+    | Leaf k ->
+        {
+          ancestor;
+          anc_field;
+          successor;
+          parent;
+          par;
+          leaf;
+          leaf_key = k;
+          leaf_edge;
+        }
+    | Internal i ->
+        let ancestor, anc_field, successor =
+          if not leaf_edge.tag then begin
+            S.transfer t.smr g ~idx:0 parent;
+            S.transfer t.smr g ~idx:1 leaf;
+            (par, par_field, leaf)
+          end
+          else (ancestor, anc_field, successor)
+        in
+        S.transfer t.smr g ~idx:2 leaf;
+        let next_field = child i key in
+        let next_edge = read_edge t g r ~idx:3 next_field in
+        descend t g key r ~ancestor ~anc_field ~successor ~parent:leaf ~par:i
+          ~par_field:next_field ~leaf_edge:next_edge
+
   let seek t g key =
     let r = Reader.make t.root.left in
-    let rec descend ~ancestor ~anc_field ~successor ~parent ~par ~par_field
-        ~leaf_edge =
-      let leaf = leaf_edge.tgt in
-      match S.data leaf with
-      | Leaf k ->
-          {
-            ancestor;
-            anc_field;
-            successor;
-            parent;
-            par;
-            leaf;
-            leaf_key = k;
-            leaf_edge;
-          }
-      | Internal i ->
-          let ancestor, anc_field, successor =
-            if not leaf_edge.tag then begin
-              S.transfer t.smr g ~idx:0 parent;
-              S.transfer t.smr g ~idx:1 leaf;
-              (par, par_field, leaf)
-            end
-            else (ancestor, anc_field, successor)
-          in
-          S.transfer t.smr g ~idx:2 leaf;
-          let next_field = child i key in
-          let next_edge = read_edge t g r ~idx:3 next_field in
-          descend ~ancestor ~anc_field ~successor ~parent:leaf ~par:i
-            ~par_field:next_field ~leaf_edge:next_edge
-    in
     (* The root node R is embedded in [t] and never retired; its S child is
        read under slot 1 and doubles as the initial successor/parent. *)
     let s_edge = read_edge t g r ~idx:1 t.root.left in
@@ -124,9 +134,19 @@ module Make (S : Smr.Smr_intf.SMR) = struct
     in
     let first_field = child s_internal key in
     let first_edge = read_edge t g r ~idx:3 first_field in
-    descend ~ancestor:t.root ~anc_field:t.root.left ~successor:s_node
-      ~parent:s_node ~par:s_internal ~par_field:first_field
+    descend t g key r ~ancestor:t.root ~anc_field:t.root.left
+      ~successor:s_node ~parent:s_node ~par:s_internal ~par_field:first_field
       ~leaf_edge:first_edge
+
+  (* Tag the sibling edge so the parent cannot change under a cleanup;
+     returns the edge as tagged. *)
+  let rec tag_sibling sibling_field =
+    let sv = A.get sibling_field in
+    if sv.tag then sv
+    else
+      let tagged = { sv with tag = true } in
+      if A.compare_and_set sibling_field sv tagged then tagged
+      else tag_sibling sibling_field
 
   (* Cleanup (Fig. 5 of the original): the flagged child of [parent] is the
      leaf being removed; tag the sibling edge, then swing the ancestor edge
@@ -146,15 +166,7 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       else if sibling_field == r.par.left then r.par.right
       else r.par.left
     in
-    (* Tag the sibling edge so the parent cannot change under us. *)
-    let rec tag_sibling () =
-      let sv = A.get sibling_field in
-      if sv.tag then sv
-      else if A.compare_and_set sibling_field sv { sv with tag = true } then
-        { sv with tag = true }
-      else tag_sibling ()
-    in
-    let sv = tag_sibling () in
+    let sv = tag_sibling sibling_field in
     let av = A.get r.anc_field in
     if av.tgt == r.successor && not av.tag then
       if
@@ -212,36 +224,38 @@ module Make (S : Smr.Smr_intf.SMR) = struct
       end
     end
 
-  let remove_with t g key =
-    let rec injection () =
-      let r = seek t g key in
-      if r.leaf_key <> key then false
-      else begin
-        let parent_field = child r.par key in
-        let expected = r.leaf_edge in
-        if
-          (not expected.flag) && (not expected.tag)
-          && A.compare_and_set parent_field expected
-               { tgt = r.leaf; flag = true; tag = false }
-        then begin
-          (* Injected; now complete the cleanup, ours or by helping. *)
-          if cleanup t g key r then true else cleanup_phase r.leaf
-        end
-        else begin
-          let e = A.get parent_field in
-          if e.tgt == r.leaf && (e.flag || e.tag) then
-            ignore (cleanup t g key r);
-          injection ()
-        end
+  (* Removal's two phases: [injection] flags the edge to the key's leaf,
+     [cleanup_phase] completes the unlink, ours or by helping. *)
+  let rec injection t g key =
+    let r = seek t g key in
+    if r.leaf_key <> key then false
+    else begin
+      let parent_field = child r.par key in
+      let expected = r.leaf_edge in
+      if
+        (not expected.flag) && (not expected.tag)
+        && A.compare_and_set parent_field expected
+             { tgt = r.leaf; flag = true; tag = false }
+      then begin
+        (* Injected; now complete the cleanup, ours or by helping. *)
+        if cleanup t g key r then true else cleanup_phase t g key r.leaf
       end
-    and cleanup_phase target_leaf =
-      let r = seek t g key in
-      if not (r.leaf == target_leaf) then true
-        (* someone else finished removing our leaf *)
-      else if cleanup t g key r then true
-      else cleanup_phase target_leaf
-    in
-    injection ()
+      else begin
+        let e = A.get parent_field in
+        if e.tgt == r.leaf && (e.flag || e.tag) then
+          ignore (cleanup t g key r);
+        injection t g key
+      end
+    end
+
+  and cleanup_phase t g key target_leaf =
+    let r = seek t g key in
+    if not (r.leaf == target_leaf) then true
+      (* someone else finished removing our leaf *)
+    else if cleanup t g key r then true
+    else cleanup_phase t g key target_leaf
+
+  let remove_with = injection
 
   include Ds_intf.Bracket (struct
     module S = S

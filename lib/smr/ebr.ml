@@ -29,7 +29,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     m_epoch_advances : Metrics.Counter.t;
   }
 
-  type 'a guard = { sid : int  (* registered slot id *) }
+  (* Unboxed, so an enter allocates nothing. *)
+  type 'a guard = { sid : int  (* registered slot id *) } [@@unboxed]
 
   (* Per-node scheme overhead in modelled bytes: the retire-epoch tag and
      the limbo-list link (two words). *)

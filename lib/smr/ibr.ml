@@ -33,7 +33,8 @@ module Make (R : Smr_runtime.Runtime_intf.S) = struct
     upper : int R.Atomic.t array;
   }
 
-  type 'a guard = { sid : int }
+  (* Unboxed, so an enter allocates nothing. *)
+  type 'a guard = { sid : int } [@@unboxed]
 
   (* Per-node scheme overhead in modelled bytes: birth and retire eras plus
      the limbo link and length tag (four words). *)

@@ -42,7 +42,7 @@ let domains_term =
           "Fan the sweep out across $(docv) worker domains. Results, \
            failure rows and cache files are byte-identical to a sequential \
            run; only progress-line order differs. For $(b,parity), the \
-           worker domains per native cell (default 2), which is also the \
+           worker domains per native ladder rep (default 2), which is also the \
            simulated thread count.")
 
 let progress_term =

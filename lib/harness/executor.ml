@@ -218,17 +218,7 @@ let result_to_json (r : Workload.result) : Json.t =
             ("freed", Json.Int r.Workload.final.Smr.Metrics.freed);
           ] );
       ("metrics", metrics_to_json m);
-      ( "latency",
-        Json.Obj
-          [
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun n -> Json.Int n)
-                   (Histogram.to_list r.Workload.latency)) );
-            ("sum", Json.Int (Histogram.sum r.Workload.latency));
-            ("max", Json.Int r.Workload.latency.Histogram.max);
-          ] );
+      ("latency", hist_to_json r.Workload.latency);
       ("op_costs", op_counts_to_json r.Workload.op_costs);
       ("timeline", Json.List (List.map sample_to_json r.Workload.timeline));
     ]
@@ -248,7 +238,6 @@ let result_of_json j : Workload.result =
   let i k v = to_int (member_exn k v) in
   let final = member_exn "final" j in
   let metrics = member_exn "metrics" j in
-  let latency = member_exn "latency" j in
   {
     Workload.ops = i "ops" j;
     steps = i "steps" j;
@@ -262,10 +251,7 @@ let result_of_json j : Workload.result =
         freed = i "freed" final;
       };
     metrics = metrics_of_json metrics;
-    latency =
-      Histogram.of_parts
-        ~buckets:(List.map to_int (to_list (member_exn "buckets" latency)))
-        ~sum:(i "sum" latency) ~max:(i "max" latency);
+    latency = hist_of_json (member_exn "latency" j);
     op_costs = op_counts_of_json (member_exn "op_costs" j);
     timeline =
       List.map sample_of_json (to_list (member_exn "timeline" j));

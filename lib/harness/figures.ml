@@ -309,7 +309,7 @@ let table1 ppf =
         (if S.robust then "yes" else "no")
         (transparency name) el de re)
     (List.filter
-       (fun (n, _) -> List.mem n (Registry.bench_scheme_names Registry.X86))
+       (fun (n, _) -> List.mem n (Registry.bench_scheme_names))
        Registry.Sim.every_scheme);
   Fmt.pf ppf "@."
 
@@ -411,7 +411,7 @@ let breakdown ?domains ?cache ?on_progress ppf ~scale =
   Fmt.pf ppf "# Atomic ops per hash-map operation (write-heavy, 9 threads)@.@.";
   Fmt.pf ppf "%-12s %8s %8s %8s %8s %8s %8s %8s %9s@." "scheme" "reads"
     "writes" "plain-w" "cas-ok" "cas-fail" "faa" "swap" "cost/op";
-  let names = Registry.scheme_names Registry.X86 in
+  let names = Registry.scheme_names in
   let rs = per_scheme ?domains ?cache ?on_progress "breakdown" ~scale 9 names in
   (* [Workload.run] scopes the per-class counters to the measured phase,
      so prefill and concurrent callers cannot pollute them. *)
@@ -437,7 +437,7 @@ let breakdown ?domains ?cache ?on_progress ppf ~scale =
    for the pointer/era schemes, epoch advances for EBR. *)
 let metrics ?domains ?cache ?on_progress ppf ~scale =
   Fmt.pf ppf "# Scheme metrics (hash map, write-heavy, 9 threads)@.@.";
-  let names = Registry.scheme_names Registry.X86 in
+  let names = Registry.scheme_names in
   let rs = per_scheme ?domains ?cache ?on_progress "metrics" ~scale 9 names in
   List.iter2
     (fun name -> function

@@ -17,60 +17,19 @@
       top the peak-unreclaimed ranking on {e both} runtimes — the
       count-based half of the verdict, robust to timing noise.
 
-    The [figures.exe parity] driver ({!Scenario.parity}) also runs the
-    {e full} scheme × structure registry matrix natively (watchdog-guarded,
-    so a livelocked scheme becomes a [timeout] row, not a hung CI job) and
-    emits [BENCH_native.json], the native counterpart of the simulated
-    BENCH reports.
+    The [figures.exe parity] driver ({!Scenario.parity}) runs only that
+    ladder (watchdog-guarded, so a livelocked scheme becomes a failed
+    rep, not a hung CI job) and emits [BENCH_native.json], the native
+    counterpart of the simulated BENCH reports. A ladder scheme that
+    fails on either runtime keeps its error and fails {!coverage}. Native
+    nanoseconds per primitive come from one ledger, [benchmark/bench.exe
+    --trace 1]'s [smr.*_ns.<S>] metrics, not from here.
 
     What parity does {e not} prove: absolute magnitudes (cost units are
     not nanoseconds), scalability curves (the container may have one
     core), or memory-model correctness (that is [test_native]'s and the
     explorer's job). It proves the simulator's comparative story survives
     contact with real atomics. *)
-
-module Native = Smr_runtime.Native_runtime
-
-(* -- the native matrix ---------------------------------------------------- *)
-
-type ncell = {
-  n_scheme : string;
-  n_structure : Registry.structure;
-  n_domains : int;
-}
-
-type nrow = {
-  n_cell : ncell;
-  n_outcome : (Native_workload.result, string) result;
-}
-
-let spec_for ~domains ~ops_per_thread =
-  {
-    Native_workload.default_spec with
-    Native_workload.threads = domains;
-    ops_per_thread;
-  }
-
-(* Every scheme x every structure (supported pairs), watchdog-guarded. *)
-let matrix ?(domains = 2) ?(ops_per_thread = 300) ?(timeout_s = 120.0) () :
-    nrow list =
-  let spec = spec_for ~domains ~ops_per_thread in
-  List.concat_map
-    (fun structure ->
-      List.filter_map
-        (fun name ->
-          if not (Registry.supported structure name) then None
-          else
-            Some
-              {
-                n_cell = { n_scheme = name; n_structure = structure;
-                           n_domains = domains };
-                n_outcome =
-                  Native_workload.run_guarded ~timeout_s ~scheme:name
-                    ~structure spec;
-              })
-        Registry.every_scheme_name)
-    Registry.structures
 
 (* -- rank agreement ------------------------------------------------------- *)
 
@@ -107,6 +66,8 @@ type structure_parity = {
   s_sep_total : int;  (** pairs the simulator separates by >= {!sep_ratio} *)
   s_sep_agree : int;  (** of those, pairs whose native order agrees *)
   s_peak_ok : bool;  (** Leaky tops peak-unreclaimed on both runtimes *)
+  s_failed : (string * string) list;
+      (** ladder schemes with no row, each with the error that dropped it *)
 }
 
 (* The gating metric is concordance over SEPARATED pairs: where the
@@ -145,7 +106,7 @@ let peak_ok_of rows =
              && leaky.r_native_peak >= r.r_native_peak))
         rows
 
-let structure_parity ~structure rows =
+let structure_parity ?(failed = []) ~structure rows =
   let sep_total, sep_agree = concordance rows in
   {
     s_structure = structure;
@@ -157,6 +118,7 @@ let structure_parity ~structure rows =
     s_sep_total = sep_total;
     s_sep_agree = sep_agree;
     s_peak_ok = peak_ok_of rows;
+    s_failed = failed;
   }
 
 let judge (structures : structure_parity list) : Verdict.t =
@@ -198,8 +160,21 @@ let median xs =
 
 (** The pinned comparison ladder: the paper-figure scheme set on the two
     structures whose sim-side orderings are the most stable. *)
-let ladder_schemes = Registry.scheme_names Registry.X86
+let ladder_schemes = Registry.scheme_names
 let ladder_structures = [ Registry.Hashmap; Registry.List_set ]
+
+(* The sim side's result for one ladder cell, or why there is none. *)
+let sim_result (summary : Executor.summary) structure scheme =
+  match
+    List.find_opt
+      (fun (r : Executor.row) ->
+        String.equal r.Executor.cell.Plan.scheme scheme
+        && r.Executor.cell.Plan.structure = structure)
+      summary.Executor.rows
+  with
+  | Some { Executor.outcome = Executor.Done res; _ } -> Ok res
+  | Some { Executor.outcome = Executor.Failed msg; _ } -> Error ("sim: " ^ msg)
+  | None -> Error "sim: no row"
 
 let measure_ladder ?cache ?on_progress ~scale ~threads ~ops_per_thread ~reps
     ~timeout_s () : structure_parity list * Executor.stats =
@@ -220,162 +195,65 @@ let measure_ladder ?cache ?on_progress ~scale ~threads ~ops_per_thread ~reps
     }
   in
   let summary = Executor.run ?cache ?on_progress plan in
-  let sim_result structure scheme =
-    List.find_map
-      (fun (r : Executor.row) ->
-        if
-          String.equal r.Executor.cell.Plan.scheme scheme
-          && r.Executor.cell.Plan.structure = structure
-        then
-          match r.Executor.outcome with
-          | Executor.Done res -> Some res
-          | Executor.Failed _ -> None
-        else None)
-      summary.Executor.rows
+  let spec =
+    { Native_workload.default_spec with threads; ops_per_thread }
+  in
+  (* A scheme's row, or the first error that kept it out of the ladder:
+     the sim cell's, else the native reps' when none of them succeeded. *)
+  let measure structure scheme =
+    match sim_result summary structure scheme with
+    | Error _ as e -> e
+    | Ok sim -> (
+        let runs =
+          List.init reps (fun rep ->
+              Native_workload.run_guarded ~timeout_s ~scheme ~structure
+                { spec with Native_workload.seed = spec.seed + rep })
+        in
+        match List.filter_map Result.to_option runs with
+        | [] ->
+            Error
+              (match runs with
+              | Error msg :: _ -> "native: " ^ msg
+              | _ -> "native: no reps")
+        | oks ->
+            Ok
+              {
+                r_scheme = scheme;
+                r_sim_tput = sim.Workload.throughput;
+                r_native_ops_s =
+                  median
+                    (List.map
+                       (fun (r : Native_workload.result) ->
+                         r.Native_workload.ops_per_sec)
+                       oks);
+                r_sim_peak = sim.Workload.metrics.Smr.Metrics.peak_unreclaimed;
+                r_native_peak =
+                  List.fold_left
+                    (fun acc (r : Native_workload.result) ->
+                      max acc
+                        r.Native_workload.metrics.Smr.Metrics.peak_unreclaimed)
+                    0 oks;
+              })
   in
   let ordering =
     List.map
       (fun structure ->
-        let rows =
-          List.filter_map
+        let rows, failed =
+          List.partition_map
             (fun scheme ->
-              match sim_result structure scheme with
-              | None -> None
-              | Some sim -> (
-                  let spec =
-                    {
-                      (spec_for ~domains:threads ~ops_per_thread) with
-                      Native_workload.seed = 42;
-                    }
-                  in
-                  let runs =
-                    List.init reps (fun rep ->
-                        Native_workload.run_guarded ~timeout_s ~scheme
-                          ~structure
-                          { spec with Native_workload.seed = 42 + rep })
-                  in
-                  match List.filter_map Result.to_option runs with
-                  | [] -> None
-                  | oks ->
-                      Some
-                        {
-                          r_scheme = scheme;
-                          r_sim_tput = sim.Workload.throughput;
-                          r_native_ops_s =
-                            median
-                              (List.map
-                                 (fun (r : Native_workload.result) ->
-                                   r.Native_workload.ops_per_sec)
-                                 oks);
-                          r_sim_peak =
-                            sim.Workload.metrics.Smr.Metrics.peak_unreclaimed;
-                          r_native_peak =
-                            List.fold_left
-                              (fun acc (r : Native_workload.result) ->
-                                max acc
-                                  r.Native_workload.metrics
-                                    .Smr.Metrics.peak_unreclaimed)
-                              0 oks;
-                        }))
+              match measure structure scheme with
+              | Ok row -> Either.Left row
+              | Error msg -> Either.Right (scheme, msg))
             ladder_schemes
         in
-        structure_parity ~structure rows)
+        structure_parity ~failed ~structure rows)
       ladder_structures
   in
   (ordering, summary.Executor.stats)
 
-(* -- native micro-benchmarks (Bechamel-style ns/call) --------------------- *)
-
-type micro = {
-  m_scheme : string;
-  m_enter_leave_ns : float;
-  m_protect_ns : float;
-  m_retire_ns : float;
-}
-
-(* Warmup then batch until the time quota, like Bechamel's monotonic-clock
-   runs, without pulling the library into the harness: ns/call medians
-   land in BENCH_native.json so sim-vs-native drift is visible per PR. *)
-let measure_ns ?(quota_s = 0.01) f =
-  for _ = 1 to 64 do
-    f ()
-  done;
-  let t0 = Unix.gettimeofday () in
-  let calls = ref 0 in
-  while Unix.gettimeofday () -. t0 < quota_s do
-    for _ = 1 to 256 do
-      f ()
-    done;
-    calls := !calls + 256
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int !calls *. 1e9
-
-let micro_cfg =
-  {
-    Smr.Smr_intf.default_config with
-    max_threads = 8;
-    slots = 8;
-    batch_size = 32;
-  }
-
-let micro_all ?quota_s () : micro list =
-  Native.set_self 0;
-  List.map
-    (fun (name, (module S : Registry.SMR)) ->
-      let t = S.create micro_cfg in
-      ignore (S.register ~tid:0 t);
-      let cell = Native.Atomic.make (Some (S.alloc t 0)) in
-      let enter_leave = measure_ns ?quota_s (fun () -> S.leave t (S.enter t)) in
-      let protect =
-        let g = S.enter t in
-        let ns =
-          measure_ns ?quota_s (fun () ->
-              ignore
-                (S.protect t g ~idx:0
-                   ~read:(fun () -> Native.Atomic.get cell)
-                   ~target:Smr.Smr_intf.of_option))
-        in
-        S.leave t g;
-        ns
-      in
-      let retire =
-        let g = S.enter t in
-        let ns =
-          measure_ns ?quota_s (fun () -> S.retire t g (S.alloc t 0))
-        in
-        S.leave t g;
-        S.flush t;
-        ns
-      in
-      {
-        m_scheme = name;
-        m_enter_leave_ns = enter_leave;
-        m_protect_ns = protect;
-        m_retire_ns = retire;
-      })
-    Registry.Native.every_scheme
-
 (* -- the parity scenario ------------------------------------------------- *)
 
-type report = {
-  p_domains : int;
-  p_matrix : nrow list;
-  p_ordering : structure_parity list;
-  p_micro : micro list;
-}
-
-let nrow_to_json (r : nrow) =
-  Json.Obj
-    ([
-       ("scheme", Json.String r.n_cell.n_scheme);
-       ("structure",
-        Json.String (Registry.structure_name r.n_cell.n_structure));
-       ("domains", Json.Int r.n_cell.n_domains);
-     ]
-    @
-    match r.n_outcome with
-    | Ok res -> [ ("result", Native_workload.result_to_json res) ]
-    | Error msg -> [ ("error", Json.String msg) ])
+type report = { p_domains : int; p_ordering : structure_parity list }
 
 let pair_row_to_json r =
   Json.Obj
@@ -398,15 +276,6 @@ let structure_parity_to_json s =
       ("rows", Json.List (List.map pair_row_to_json s.s_rows));
     ]
 
-let micro_to_json m =
-  Json.Obj
-    [
-      ("scheme", Json.String m.m_scheme);
-      ("enter_leave_ns", Json.Float m.m_enter_leave_ns);
-      ("protect_ns", Json.Float m.m_protect_ns);
-      ("retire_ns", Json.Float m.m_retire_ns);
-    ]
-
 (* The BENCH_native.json body; the envelope adds the verdict. *)
 let body (p : report) =
   Json.Obj
@@ -414,95 +283,70 @@ let body (p : report) =
       ("name", Json.String "native");
       ("paper", Json.String "Hyaline (PODC 2019)");
       ("domains", Json.Int p.p_domains);
-      ("matrix", Json.List (List.map nrow_to_json p.p_matrix));
       ( "ordering",
         Json.List (List.map structure_parity_to_json p.p_ordering) );
-      ("micro", Json.List (List.map micro_to_json p.p_micro));
     ]
 
-(* Structural completeness: every canonical scheme must appear in the
-   micro section and in the matrix for every structure that supports it
-   — the same "no scheme silently dropped" bar {!Scenario.micro}'s
-   coverage check sets. *)
-let coverage (p : report) =
-  let has_micro name =
-    List.exists (fun m -> String.equal m.m_scheme name) p.p_micro
-  in
-  let has_matrix name structure =
-    List.exists
-      (fun r ->
-        String.equal r.n_cell.n_scheme name
-        && r.n_cell.n_structure = structure)
-      p.p_matrix
-  in
+(* No scheme silently dropped: every ladder scheme on every ladder
+   structure has a row, i.e. a simulated result and at least one
+   successful native rep. A missing pair is named with its error, when
+   {!measure_ladder} recorded one. *)
+let coverage (ordering : structure_parity list) =
   let missing =
     List.concat_map
-      (fun name ->
-        (if has_micro name then [] else [ "micro:" ^ name ])
-        @ List.filter_map
-            (fun structure ->
-              if
-                Registry.supported structure name
-                && not (has_matrix name structure)
-              then
-                Some
-                  (Printf.sprintf "matrix:%s/%s" name
-                     (Registry.structure_name structure))
-              else None)
-            Registry.structures)
-      Registry.every_scheme_name
-    @ if p.p_ordering = [] then [ "ordering" ] else []
+      (fun structure ->
+        let rows, failed =
+          match List.find_opt (fun s -> s.s_structure = structure) ordering with
+          | Some s -> (s.s_rows, s.s_failed)
+          | None -> ([], [])
+        in
+        List.filter_map
+          (fun scheme ->
+            if List.exists (fun r -> String.equal r.r_scheme scheme) rows then
+              None
+            else
+              let pair = Registry.structure_name structure ^ ": " ^ scheme in
+              Some
+                (match List.assoc_opt scheme failed with
+                | Some msg -> Printf.sprintf "%s (%s)" pair msg
+                | None -> pair))
+          ladder_schemes)
+      ladder_structures
   in
   ( "coverage",
     missing = [],
-    if missing = [] then "every scheme in the matrix, ladder and micro sections"
-    else "missing entries: " ^ String.concat ", " missing )
+    if missing = [] then
+      Printf.sprintf "all %d schemes x %d structures measured on sim and native"
+        (List.length ladder_schemes)
+        (List.length ladder_structures)
+    else "missing: " ^ String.concat ", " missing )
 
 let judge_report p =
   let v = judge p.p_ordering in
-  Verdict.of_checks (v.Verdict.checks @ [ coverage p ])
+  Verdict.of_checks (v.Verdict.checks @ [ coverage p.p_ordering ])
 
-(* 1. the full registry matrix on real domains, watchdog-guarded; 2. the
-   pinned ordering ladder, sim (cached, executor) vs native medians; 3.
-   micro-benchmarks for the drift record. *)
+(* The pinned ordering ladder: sim (cached, executor) vs native medians. *)
 let collect ?cache ?on_progress ~domains ~scale () =
   (* Ladder cells must run long enough that scheme overhead, not
      scheduler jitter, decides the throughput ranks — short runs measure
      noise and the tau bar exists to catch real inversions, not that. *)
-  let matrix_ops, ladder_ops, quota_s, reps =
+  let ops_per_thread, reps =
     match (scale : Plan.scale) with
-    | Plan.Quick -> (300, 10_000, 0.01, 3)
-    | Plan.Full -> (2_000, 40_000, 0.05, 5)
+    | Plan.Quick -> (10_000, 3)
+    | Plan.Full -> (40_000, 5)
   in
-  let p_matrix = matrix ~domains ~ops_per_thread:matrix_ops () in
   let p_ordering, stats =
-    measure_ladder ?cache ?on_progress ~scale ~threads:domains
-      ~ops_per_thread:ladder_ops ~reps ~timeout_s:120.0 ()
+    measure_ladder ?cache ?on_progress ~scale ~threads:domains ~ops_per_thread
+      ~reps ~timeout_s:120.0 ()
   in
-  let p_micro = micro_all ~quota_s () in
-  ({ p_domains = domains; p_matrix; p_ordering; p_micro }, stats)
+  ({ p_domains = domains; p_ordering }, stats)
 
 let print ppf p =
-  let ok_n =
-    List.length (List.filter (fun r -> Result.is_ok r.n_outcome) p.p_matrix)
-  in
   Fmt.pf ppf
-    "# Native parity — %d worker domain(s), %d schemes x %d structures@.@."
+    "# Native parity — %d worker domain(s), %d schemes x %d structures@."
     p.p_domains
-    (List.length Registry.Native.every_scheme)
-    (List.length Registry.structures);
-  Fmt.pf ppf "native matrix: %d supported cells, %d ok, %d failed@."
-    (List.length p.p_matrix) ok_n
-    (List.length p.p_matrix - ok_n);
-  List.iter
-    (fun r ->
-      match r.n_outcome with
-      | Ok _ -> ()
-      | Error msg ->
-          Fmt.pf ppf "  FAIL %s/%s: %s@." r.n_cell.n_scheme
-            (Registry.structure_name r.n_cell.n_structure)
-            msg)
-    p.p_matrix;
+    (List.length ladder_schemes)
+    (List.length ladder_structures);
   List.iter
     (fun s ->
       Fmt.pf ppf "@.## %s — sim vs native@."
@@ -516,12 +360,4 @@ let print ppf p =
         s.s_rows;
       Fmt.pf ppf "tau=%.2f separated-pairs=%d/%d peak_ok=%b@." s.s_tau
         s.s_sep_agree s.s_sep_total s.s_peak_ok)
-    p.p_ordering;
-  Fmt.pf ppf "@.## native micro (ns/call)@.";
-  Fmt.pf ppf "%-16s %12s %12s %12s@." "scheme" "enter+leave" "protect"
-    "alloc+retire";
-  List.iter
-    (fun m ->
-      Fmt.pf ppf "%-16s %12.1f %12.1f %12.1f@." m.m_scheme
-        m.m_enter_leave_ns m.m_protect_ns m.m_retire_ns)
-    p.p_micro
+    p.p_ordering

@@ -144,7 +144,7 @@ let cell ?label ?(arch = Registry.X86) ?(scale = Quick) ?(stalled = 0)
 let grid ~name ?(arch = Registry.X86) ?(scale = Quick)
     ?(mix = Workload.write_heavy) ?schemes ?structures ~threads () =
   let schemes =
-    match schemes with Some s -> s | None -> Registry.scheme_names arch
+    match schemes with Some s -> s | None -> Registry.scheme_names
   in
   let structures =
     match structures with Some s -> s | None -> Registry.paper_structures

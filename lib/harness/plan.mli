@@ -96,7 +96,7 @@ val grid :
   unit ->
   t
 (** The standard sweep: structure-major, then scheme, then thread count.
-    Defaults: [schemes = Registry.scheme_names arch],
+    Defaults: [schemes = Registry.scheme_names],
     [structures = Registry.paper_structures]. Pairs excluded by
     {!Registry.supported} are omitted. *)
 

@@ -52,12 +52,12 @@ let baseline_names = [ "Leaky"; "Epoch"; "IBR"; "HE"; "HP" ]
 let hyaline_names = [ "Hyaline"; "Hyaline-1"; "Hyaline-S"; "Hyaline-1S" ]
 let crystalline_names = [ "Crystalline-L"; "Crystalline-W" ]
 let llsc_names = [ "Hyaline/llsc"; "Hyaline-S/llsc" ]
-let scheme_names (_ : arch) = baseline_names @ hyaline_names
+let scheme_names = baseline_names @ hyaline_names
 
 (* The benchmark-report scheme set: the paper-figure nine plus the
    Crystalline follow-ups. Figure sweeps (fig8/fig9/...) keep the
    paper's own scheme list; the bench/micro reports cover the lineage. *)
-let bench_scheme_names arch = scheme_names arch @ crystalline_names
+let bench_scheme_names = scheme_names @ crystalline_names
 
 let every_scheme_name =
   baseline_names @ hyaline_names @ crystalline_names @ llsc_names

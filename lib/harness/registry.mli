@@ -57,12 +57,13 @@ val supported : structure -> string -> bool
     Bonsai excludes HP and HE — per-pointer hazards cannot protect a
     snapshot traversal (§6, Fig. 8b). *)
 
-val scheme_names : arch -> string list
-(** The scheme set as plotted in the paper's figures for [arch] (9 names;
-    the Hyaline family keeps its plain names, the arch picks the head). *)
+val scheme_names : string list
+(** The scheme set as plotted in the paper's figures (9 names; the
+    Hyaline family keeps its plain names on every arch, the arch picks
+    the head). *)
 
-val bench_scheme_names : arch -> string list
-(** The benchmark-report set: [scheme_names arch] plus [Crystalline-L]
+val bench_scheme_names : string list
+(** The benchmark-report set: [scheme_names] plus [Crystalline-L]
     and [Crystalline-W]. Figure sweeps keep the paper's own scheme list;
     the bench/micro reports cover the whole Hyaline lineage. *)
 
@@ -76,7 +77,7 @@ module type S = sig
 
   val all_schemes : arch -> (string * (module SMR)) list
   (** Scheme sets as plotted in the paper's figures; names are
-      [scheme_names arch]. *)
+      [scheme_names]. *)
 
   val every_scheme : (string * (module SMR)) list
   (** All 13 canonical schemes (x86 set, the Crystalline pair, plus the

@@ -130,7 +130,7 @@ let residents sw = List.map (fun (l, r) -> (l, resident r)) sw.rows
    run's whole {!Executor.result_to_json} record, so the op-class costs,
    latency, lifecycle, series and allocator counters behind a ranking can
    be read back with {!Executor.result_of_json}. *)
-let micro_schemes = Registry.bench_scheme_names Registry.X86
+let micro_schemes = Registry.bench_scheme_names
 
 (* Every bench scheme has a run, and every run carries a scheme-specific
    series. Input: (scheme, series) per run. *)
@@ -293,12 +293,12 @@ let judge_churn rows =
    throughput ratio with the micro cost and the slot-recycling and
    orphan-handoff accounting the lifecycle layer maintains. *)
 let churn_plan ctx =
-  let sw, stats =
-    run_sweep ~kind:"churn" (Plan.churn_sweep ~scale:ctx.scale ()) ctx
-  in
+  let plan = Plan.churn_sweep ~scale:ctx.scale () in
+  let sw, stats = run_sweep ~kind:"churn" plan ctx in
   let rows =
     List.filter_map
-      (fun scheme ->
+      (fun (cell : Plan.cell) ->
+        let scheme = cell.Plan.scheme in
         let row l = List.assoc_opt l sw.rows in
         match (row scheme, row (scheme ^ "-static")) with
         | Some ({ Workload.churn = Some c; _ } as churned), Some static ->
@@ -314,7 +314,8 @@ let churn_plan ctx =
                 stats = c;
               }
         | _ -> None)
-      (registering_schemes @ transparent_schemes)
+      (List.filter (fun (cell : Plan.cell) -> cell.Plan.churn <> None)
+         plan.Plan.cells)
   in
   (rows, stats)
 
@@ -443,7 +444,10 @@ let row_of_result label (r : Workload.result) =
     timeline = r.Workload.timeline;
   }
 
-let service_schemes = [ "Epoch"; "HP"; "HE"; "IBR"; "Hyaline"; "Hyaline-S" ]
+let service_schemes =
+  List.map
+    (fun (c : Plan.cell) -> c.Plan.label)
+    (Plan.service_sweep ()).Plan.cells
 
 (* The paper's robustness claim restated as an SLO: under the storm,
    the stalled readers and the pressure spike, Hyaline-S keeps serving
@@ -479,7 +483,8 @@ let judge_service ~budget rows =
     [
       ( "coverage",
         missing = [],
-        if missing = [] then "all 6 schemes present"
+        if missing = [] then
+          Printf.sprintf "all %d schemes present" (List.length service_schemes)
         else "missing: " ^ String.concat ", " missing );
       ( "timelines",
         unsampled = [],
@@ -842,10 +847,11 @@ let parity =
     kind = "parity";
     artifact = "native";
     doc =
-      "Cross-validate the simulator against the native runtime: run the \
-       full scheme x structure matrix on real domains (watchdog-guarded) \
-       and compare the relative scheme orderings (throughput rank, \
-       peak-unreclaimed rank) on a pinned ladder.";
+      "Cross-validate the simulator against the native runtime: run a \
+       pinned ladder of the nine figure schemes on the hash map and the \
+       list on both runtimes (native reps watchdog-guarded) and compare \
+       the relative scheme orderings (throughput rank, peak-unreclaimed \
+       rank); every ladder pair must have a simulated and a native row.";
     plan =
       (fun ctx ->
         Parity.collect ?cache:ctx.cache ?on_progress:ctx.on_progress

@@ -30,10 +30,10 @@ let check_rows section lines keys =
 
 let test_drivers_complete () =
   let scale = Figures.Quick in
-  let x86 = Registry.scheme_names Registry.X86 in
+  let x86 = Registry.scheme_names in
   check_rows "table1"
     (capture Figures.table1)
-    (Registry.bench_scheme_names Registry.X86);
+    Registry.bench_scheme_names;
   check_rows "ablation"
     (capture (Figures.ablation ~scale))
     [ "33"; "64"; "128"; "256"; "1"; "8"; "32"; "dwcas"; "llsc" ];

@@ -67,32 +67,27 @@ let check_result ~scheme ~where (r : NW.result) =
       (ctx ^ ": quiescent flush drained everything")
       0 r.NW.unreclaimed
 
+(* Every supported (scheme, structure) pair on 2 domains. *)
 let test_matrix_smoke_2_domains () =
-  let rows = Parity.matrix ~domains:2 ~ops_per_thread:150 ~timeout_s:120.0 () in
-  let expected =
-    List.fold_left
-      (fun acc s ->
-        acc
-        + List.length
-            (List.filter
-               (fun n -> Registry.supported s n)
-               Registry.every_scheme_name))
-      0 Registry.structures
+  let spec = { NW.default_spec with NW.threads = 2; ops_per_thread = 150 } in
+  let cells =
+    List.concat_map
+      (fun structure ->
+        List.filter_map
+          (fun name ->
+            if Registry.supported structure name then Some (structure, name)
+            else None)
+          Registry.every_scheme_name)
+      Registry.structures
   in
-  Alcotest.(check int) "full supported matrix covered" expected
-    (List.length rows);
+  Alcotest.(check int) "full supported matrix covered" 89 (List.length cells);
   List.iter
-    (fun (r : Parity.nrow) ->
-      let where =
-        Registry.structure_name r.Parity.n_cell.Parity.n_structure
-      in
-      match r.Parity.n_outcome with
-      | Ok res ->
-          check_result ~scheme:r.Parity.n_cell.Parity.n_scheme ~where res
-      | Error msg ->
-          Alcotest.failf "%s/%s failed: %s" r.Parity.n_cell.Parity.n_scheme
-            where msg)
-    rows
+    (fun (structure, name) ->
+      let where = Registry.structure_name structure in
+      match NW.run_guarded ~timeout_s:120.0 ~scheme:name ~structure spec with
+      | Ok res -> check_result ~scheme:name ~where res
+      | Error msg -> Alcotest.failf "%s/%s failed: %s" name where msg)
+    cells
 
 let test_matrix_smoke_4_domains () =
   (* A 4-domain column of the matrix: every scheme on the hash map. *)
@@ -256,6 +251,48 @@ let test_judge_rejects_leaky_not_topping () =
   Alcotest.(check bool) "empty matrix never agrees" false
     (Parity.judge []).Verdict.ok
 
+(* Coverage is the ladder's "no scheme silently dropped" check: a pair
+   without a row fails it, named with the error that dropped it. *)
+let test_ladder_coverage () =
+  let ladder ?(drop = []) structure =
+    let keep s = not (List.mem s drop) in
+    Parity.structure_parity ~structure
+      ~failed:
+        (List.map (fun s -> (s, "native: Use_after_free(\"HP: data\")")) drop)
+      (List.filter_map
+         (fun s ->
+           if keep s then
+             Some
+               (row ~scheme:s ~sim:20.0 ~native:2000.0 ~sim_peak:40
+                  ~native_peak:30)
+           else None)
+         Parity.ladder_schemes)
+  in
+  let full = List.map ladder Parity.ladder_structures in
+  let _, ok, detail = Parity.coverage full in
+  Alcotest.(check bool) ("full ladder covered: " ^ detail) true ok;
+  let no_hp =
+    List.map
+      (fun s ->
+        if s = Registry.Hashmap then ladder ~drop:[ "HP" ] s else ladder s)
+      Parity.ladder_structures
+  in
+  let _, ok, detail = Parity.coverage no_hp in
+  Alcotest.(check bool) "ladder missing HP fails" false ok;
+  Alcotest.(check string) "names the pair and its error"
+    "missing: hashmap: HP (native: Use_after_free(\"HP: data\"))" detail;
+  let _, ok, detail =
+    Parity.coverage
+      (List.filter
+         (fun s -> s.Parity.s_structure <> Registry.List_set)
+         full)
+  in
+  Alcotest.(check bool) "ladder missing a structure fails" false ok;
+  Alcotest.(check string) "names each of its pairs"
+    ("missing: "
+    ^ String.concat ", " (List.map (( ^ ) "list: ") Parity.ladder_schemes))
+    detail
+
 (* The pinned small matrix, for real: Leaky / Epoch / Hyaline on the hash
    map, simulator vs native. Only the count-based half of the verdict is
    asserted — throughput ranks are wall-clock and belong to the (noisier)
@@ -326,6 +363,7 @@ let suite =
       test_judge_rejects_inverted_ranks;
     Alcotest.test_case "judge-rejects-leaky-not-topping" `Quick
       test_judge_rejects_leaky_not_topping;
+    Alcotest.test_case "ladder-coverage" `Quick test_ladder_coverage;
     Alcotest.test_case "pinned-parity-verdict" `Quick
       test_pinned_parity_verdict;
     Alcotest.test_case "native-result-round-trip" `Quick

@@ -124,13 +124,13 @@ cmp "$tmpdir/verify.txt" VERIFY_seed0.txt || {
 # The wall-clock stage runs last: a timing miss on a shared or small
 # machine then cannot hide the deterministic gates above.
 #
-# Native parity smoke: the full scheme x structure matrix on real OCaml 5
-# domains (watchdog-guarded), then the pinned sim-vs-native ordering
-# ladder. The driver exits non-zero unless its verdict holds: the native
-# runtime reproduces the simulator's relative scheme ordering
-# (separated-pair concordance + Leaky topping the peak-unreclaimed rank
-# on both runtimes) and the artifact covers every scheme. Its body is
-# wall-clock, so it is not compared with the committed BENCH_native.json.
+# Native parity smoke: the pinned sim-vs-native ordering ladder on real
+# OCaml 5 domains (watchdog-guarded). The driver exits non-zero unless
+# its verdict holds: the native runtime reproduces the simulator's
+# relative scheme ordering (separated-pair concordance + Leaky topping
+# the peak-unreclaimed rank on both runtimes) and every ladder pair has a
+# simulated and a native row. Its body is wall-clock, so it is not
+# compared with the committed BENCH_native.json.
 echo "==> parity smoke run"
 dune exec bin/figures.exe -- parity --domains 2 \
   --cache-dir "$tmpdir/cache" -o "$tmpdir" >"$tmpdir/parity.log" || {
